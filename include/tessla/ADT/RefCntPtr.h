@@ -12,7 +12,10 @@
 /// only mutates its own handles. Relaxed increments and acq-rel decrements
 /// keep the common (uncontended) case cheap; unique() uses an acquire load
 /// so a thread that observes count==1 also observes every write the last
-/// releasing thread made to the node.
+/// releasing thread made to the node. While the process has never started
+/// a second thread the counts cannot race, so they skip the locked
+/// read-modify-write, as libstdc++'s shared_ptr does; starting a thread
+/// synchronizes with everything written before it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +25,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <ext/atomicity.h>
 #include <utility>
 
 namespace tessla {
@@ -35,10 +39,23 @@ public:
   RefCountedBase(const RefCountedBase &) {}
   RefCountedBase &operator=(const RefCountedBase &) { return *this; }
 
-  void retain() const { RefCount.fetch_add(1, std::memory_order_relaxed); }
+  void retain() const {
+    if (__gnu_cxx::__is_single_threaded())
+      RefCount.store(RefCount.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
+    else
+      RefCount.fetch_add(1, std::memory_order_relaxed);
+  }
   void release() const {
-    assert(RefCount.load(std::memory_order_relaxed) > 0 && "over-release");
-    if (RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    uint32_t Old;
+    if (__gnu_cxx::__is_single_threaded()) {
+      Old = RefCount.load(std::memory_order_relaxed);
+      RefCount.store(Old - 1, std::memory_order_relaxed);
+    } else {
+      Old = RefCount.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    assert(Old > 0 && "over-release");
+    if (Old == 1)
       delete static_cast<const Derived *>(this);
   }
   uint32_t useCount() const {

@@ -420,7 +420,8 @@ class HamtMap {
       if (!Eq{}(L->Key, Key))
         return R;
       R.Removed = true;
-      if (N->Entries.size() == 1) {
+      // Emptying a uniquely-owned root keeps the node (see eraseMut).
+      if (N->Entries.size() == 1 && Shift > 0) {
         R.Empty = true;
         return R;
       }
@@ -477,6 +478,23 @@ public:
   bool empty() const { return Count == 0; }
   size_t size() const { return Count; }
 
+  /// The root node: names this version (nullptr only for a map built by
+  /// the default constructor or a persistent erase that emptied it).
+  const void *root() const { return Root.get(); }
+
+  /// True when no other map holds this root, so a transient update
+  /// reuses it and the map keeps its root identity.
+  bool uniquelyOwned() const { return Root.unique(); }
+
+  /// An equal map with a fresh copy of the root node (an empty root when
+  /// there is none); every other node stays shared. The copy is uniquely
+  /// owned, so transient updates on it path-copy below the root and never
+  /// touch this map. O(32).
+  HamtMap detached() const {
+    return HamtMap(Root ? makeRefCnt<Node>(*Root) : makeRefCnt<Node>(),
+                   Count);
+  }
+
   /// Pointer to the value mapped to \p Key, or nullptr. O(log32 n).
   const V *find(const K &Key) const {
     return findImpl(Root.get(), Hash{}(Key), 0, Key);
@@ -523,13 +541,15 @@ public:
   }
 
   /// Transient erase with the same sharing discipline as setMut.
-  /// Returns true when the key was present.
+  /// Returns true when the key was present. Transient updates never
+  /// leave the map without a root node: erasing the last entry keeps a
+  /// uniquely-owned root (empty) and gives a shared one an empty copy.
   bool eraseMut(const K &Key) {
     EraseResult R = eraseMutImpl(Root, Hash{}(Key), 0, Key);
     if (!R.Removed)
       return false;
     if (R.Empty) {
-      Root.reset();
+      Root = makeRefCnt<Node>();
     } else if (R.IsLeaf) {
       uint64_t H = Hash{}(R.L.Key);
       Root = singleLeafNode(std::move(R.L), H, 0);
@@ -574,6 +594,11 @@ public:
   bool empty() const { return Map.empty(); }
   size_t size() const { return Map.size(); }
   bool contains(const K &Key) const { return Map.contains(Key); }
+
+  /// Root identity and ownership (see HamtMap).
+  const void *root() const { return Map.root(); }
+  bool uniquelyOwned() const { return Map.uniquelyOwned(); }
+  HamtSet detached() const { return HamtSet(Map.detached()); }
 
   /// Returns a set containing \p Key.
   HamtSet insert(K Key) const { return HamtSet(Map.set(std::move(Key), {})); }

@@ -22,58 +22,108 @@
 
 namespace tessla {
 
-/// Immutable FIFO queue. Copying is O(1).
+/// Persistent FIFO queue. Copying is O(1). Each version has one root
+/// node holding the two spines: the root names the version, and its
+/// refcount decides whether a transient update (enqueueMut/dequeueMut)
+/// may reuse it in place.
 template <typename T> class PQueue {
-  PList<T> Front; // dequeue side
-  PList<T> Back;  // enqueue side, stored reversed
+  struct Root : RefCountedBase<Root> {
+    PList<T> Front; // dequeue side
+    PList<T> Back;  // enqueue side, stored reversed
+  };
 
-  PQueue(PList<T> Front, PList<T> Back)
-      : Front(std::move(Front)), Back(std::move(Back)) {}
+  RefCntPtr<Root> R; // null: an empty queue that never had a root
+
+  /// The root, made uniquely owned first: reused when it already is,
+  /// copied (spines shared) when another version holds it.
+  Root &ownRoot() {
+    if (!R.unique())
+      R = R ? makeRefCnt<Root>(*R) : makeRefCnt<Root>();
+    return *R;
+  }
 
 public:
   PQueue() = default;
 
-  bool empty() const { return Front.empty() && Back.empty(); }
-  size_t size() const { return Front.size() + Back.size(); }
+  bool empty() const { return size() == 0; }
+  size_t size() const { return R ? R->Front.size() + R->Back.size() : 0; }
+
+  /// The root node: names this version (nullptr for a default-constructed
+  /// queue).
+  const void *root() const { return R.get(); }
+
+  /// True when no other queue holds this root (see HamtMap).
+  bool uniquelyOwned() const { return R.unique(); }
+
+  /// An equal queue with a fresh root node (spines shared). O(1).
+  PQueue detached() const {
+    PQueue Q;
+    Q.R = R ? makeRefCnt<Root>(*R) : makeRefCnt<Root>();
+    return Q;
+  }
+
+  /// Transient enqueue: appends \p Value to this queue, reusing the root
+  /// when it is uniquely owned. Other queues are never affected. O(1).
+  void enqueueMut(T Value) {
+    Root &M = ownRoot();
+    M.Back = M.Back.cons(std::move(Value));
+  }
+
+  /// Transient dequeue with the same discipline. Precondition: !empty().
+  /// Amortized O(1): when Front runs empty, Back is reversed once.
+  void dequeueMut() {
+    assert(!empty() && "dequeue of empty queue");
+    Root &M = ownRoot();
+    if (M.Front.empty()) {
+      M.Front = M.Back.reverse();
+      M.Back = PList<T>();
+    }
+    M.Front = M.Front.tail();
+  }
 
   /// Returns a new queue with \p Value appended at the back. O(1).
   PQueue enqueue(T Value) const {
-    return PQueue(Front, Back.cons(std::move(Value)));
+    PQueue Q = detached();
+    Q.enqueueMut(std::move(Value));
+    return Q;
+  }
+
+  /// Returns the queue without its oldest element. Precondition: !empty().
+  PQueue dequeue() const {
+    PQueue Q = detached();
+    Q.dequeueMut();
+    return Q;
   }
 
   /// Oldest element. Precondition: !empty(). O(n) worst case when the
   /// front list is empty (peek must look at the bottom of Back).
   const T &front() const {
     assert(!empty() && "front of empty queue");
-    if (!Front.empty())
-      return Front.head();
+    if (!R->Front.empty())
+      return R->Front.head();
     // Reach the last element of Back (== first enqueued).
-    PList<T> Cur = Back;
+    PList<T> Cur = R->Back;
     while (!Cur.tail().empty())
       Cur = Cur.tail();
     return Cur.head();
   }
 
-  /// Returns the queue without its oldest element. Precondition: !empty().
-  /// Amortized O(1): when Front runs empty, Back is reversed once.
-  PQueue dequeue() const {
-    assert(!empty() && "dequeue of empty queue");
-    if (!Front.empty())
-      return PQueue(Front.tail(), Back);
-    PList<T> Reversed = Back.reverse();
-    return PQueue(Reversed.tail(), PList<T>());
-  }
-
   /// Calls \p Fn on each element oldest-to-newest.
   template <typename Fn> void forEach(Fn &&Callback) const {
-    Front.forEach(Callback);
-    Back.reverse().forEach(Callback);
+    if (!R)
+      return;
+    R->Front.forEach(Callback);
+    R->Back.reverse().forEach(Callback);
   }
 
-  /// Walks both spines' nodes for memory accounting (see PList).
+  /// Walks the root and both spines' nodes for memory accounting (see
+  /// PList); a false return for the root skips the spines.
   template <typename Fn> void forEachNode(Fn &&Callback) const {
-    Front.forEachNode(Callback);
-    Back.forEachNode(Callback);
+    if (!R || !Callback(static_cast<const void *>(R.get()), sizeof(Root),
+                        static_cast<uint32_t>(R->useCount())))
+      return;
+    R->Front.forEachNode(Callback);
+    R->Back.forEachNode(Callback);
   }
 
   /// Element-wise equality in queue order. O(n).

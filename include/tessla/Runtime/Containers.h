@@ -1,213 +1,179 @@
-//===- tessla/Runtime/Containers.h - Aggregate payloads --------*- C++ -*-===//
+//===- tessla/Runtime/Containers.h - Aggregate views and COW ---*- C++ -*-===//
 //
 // Part of the tessla-aggregate-update project, MIT licensed.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The aggregate payloads behind Value handles, and the two faces through
-/// which the runtime touches them:
+/// The two faces through which the runtime touches an aggregate Value's
+/// persistent structure (HAMT / banker's queue, held by the value itself):
 ///
 ///  - views (SetView/MapView/QueueView): immutable, read-only windows onto
-///    a payload — the only way to inspect an aggregate.
+///    the structure — the only way to inspect an aggregate.
 ///  - COW handles (SetCow/MapCow/QueueCow): single-use mutation handles
-///    obtained from Value::setCow()/mapCow()/queueCow(). Every payload is
-///    one persistent structure (HAMT / banker's queue) whose nodes carry
-///    refcounts; the paper's two update regimes are two tiers of this one
-///    representation. When the mutability analysis proved exclusivity
-///    (InPlace) *and* the wrapper is uniquely owned, the handle reuses the
-///    wrapper and the transient HAMT ops mutate uniquely-owned nodes
-///    destructively; otherwise the handle starts from an O(1) copy of the
-///    wrapper (sharing the whole node tree) and every update path-copies
-///    the O(log32 n) spine, leaving all sharers untouched.
+///    obtained from Value::setCow()/mapCow()/queueCow(). The paper's two
+///    update regimes are two tiers of the one representation. When the
+///    mutability analysis proved exclusivity (InPlace) *and* the value's
+///    root node is uniquely owned, the handle updates the value's own
+///    structure and the transient ops mutate uniquely-owned nodes
+///    destructively, keeping the root (and so the value's identity).
+///    Otherwise the handle starts from a detached copy of the root (one
+///    node copied, every child shared) and every update path-copies the
+///    O(log32 n) spine below it, leaving all sharers untouched.
 ///
 /// The static InPlace verdict is required — dynamic uniqueness alone is
 /// unsound because a program can re-read a slot after deriving two values
 /// from it (s2 = setAdd(s1, x); s3 = setAdd(s1, y)): at the first update
-/// the s1 wrapper is uniquely owned, yet s1 must survive.
+/// the s1 root is uniquely owned, yet s1 must survive.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TESSLA_RUNTIME_CONTAINERS_H
 #define TESSLA_RUNTIME_CONTAINERS_H
 
-#include "tessla/Persistent/HAMT.h"
-#include "tessla/Persistent/Queue.h"
 #include "tessla/Runtime/Value.h"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 namespace tessla {
 
-/// Set payload: a persistent HAMT of elements.
-struct SetData {
-  HamtSet<Value, ValueHash> Elems;
+// --- Views ----------------------------------------------------------------
 
-  size_t size() const { return Elems.size(); }
-  bool contains(const Value &V) const { return Elems.contains(V); }
+/// Read-only window onto a set. Valid while the Value it came from is
+/// alive and not destructively updated.
+class SetView {
+public:
+  explicit SetView(const Value::SetRep &S) : S(&S) {}
+
+  size_t size() const { return S->size(); }
+  bool empty() const { return S->empty(); }
+  bool contains(const Value &V) const { return S->contains(V); }
   /// Elements in unspecified order.
-  std::vector<Value> items() const { return Elems.items(); }
-};
-
-/// Map payload: a persistent HAMT of entries.
-struct MapData {
-  HamtMap<Value, Value, ValueHash> Entries;
-
-  size_t size() const { return Entries.size(); }
-  /// nullptr if absent. The pointer is invalidated by any update.
-  const Value *find(const Value &Key) const { return Entries.find(Key); }
-  /// Entries in unspecified order.
-  std::vector<std::pair<Value, Value>> items() const {
-    return Entries.items();
+  std::vector<Value> items() const { return S->items(); }
+  template <typename Fn> void forEach(Fn &&Callback) const {
+    S->forEach(std::forward<Fn>(Callback));
   }
+
+private:
+  const Value::SetRep *S;
 };
 
-/// FIFO queue payload: a persistent two-list queue.
-struct QueueData {
-  PQueue<Value> Elems;
+/// Read-only window onto a map.
+class MapView {
+public:
+  explicit MapView(const Value::MapRep &M) : M(&M) {}
 
-  size_t size() const { return Elems.size(); }
-  bool empty() const { return Elems.empty(); }
+  size_t size() const { return M->size(); }
+  bool empty() const { return M->empty(); }
+  bool contains(const Value &Key) const { return M->contains(Key); }
+  /// nullptr if absent. The pointer is invalidated by any update.
+  const Value *find(const Value &Key) const { return M->find(Key); }
+  /// Entries in unspecified order.
+  std::vector<std::pair<Value, Value>> items() const { return M->items(); }
+  template <typename Fn> void forEach(Fn &&Callback) const {
+    M->forEach(std::forward<Fn>(Callback));
+  }
+
+private:
+  const Value::MapRep *M;
+};
+
+/// Read-only window onto a queue.
+class QueueView {
+public:
+  explicit QueueView(const Value::QueueRep &Q) : Q(&Q) {}
+
+  size_t size() const { return Q->size(); }
+  bool empty() const { return Q->empty(); }
+  /// Oldest element. Precondition: !empty().
+  const Value &front() const { return Q->front(); }
   /// Elements front (oldest) first.
   std::vector<Value> items() const {
     std::vector<Value> Out;
-    Out.reserve(Elems.size());
-    Elems.forEach([&Out](const Value &V) { Out.push_back(V); });
+    Out.reserve(Q->size());
+    Q->forEach([&Out](const Value &V) { Out.push_back(V); });
     return Out;
   }
-};
-
-// --- Views ----------------------------------------------------------------
-
-/// Read-only window onto a set payload. Valid while the Value it came
-/// from is alive and not destructively updated.
-class SetView {
-public:
-  explicit SetView(const SetData *D) : D(D) {}
-
-  size_t size() const { return D->size(); }
-  bool empty() const { return D->size() == 0; }
-  bool contains(const Value &V) const { return D->contains(V); }
-  std::vector<Value> items() const { return D->items(); }
   template <typename Fn> void forEach(Fn &&Callback) const {
-    D->Elems.forEach(std::forward<Fn>(Callback));
-  }
-  /// Memory-accounting walk over the payload's trie nodes (see
-  /// HamtMap::forEachNode).
-  template <typename Fn> void forEachNode(Fn &&Callback) const {
-    D->Elems.forEachNode(std::forward<Fn>(Callback));
+    Q->forEach(std::forward<Fn>(Callback));
   }
 
 private:
-  const SetData *D;
-};
-
-/// Read-only window onto a map payload.
-class MapView {
-public:
-  explicit MapView(const MapData *D) : D(D) {}
-
-  size_t size() const { return D->size(); }
-  bool empty() const { return D->size() == 0; }
-  bool contains(const Value &Key) const { return D->find(Key) != nullptr; }
-  /// nullptr if absent. The pointer is invalidated by any update.
-  const Value *find(const Value &Key) const { return D->find(Key); }
-  std::vector<std::pair<Value, Value>> items() const { return D->items(); }
-  template <typename Fn> void forEach(Fn &&Callback) const {
-    D->Entries.forEach(std::forward<Fn>(Callback));
-  }
-  template <typename Fn> void forEachNode(Fn &&Callback) const {
-    D->Entries.forEachNode(std::forward<Fn>(Callback));
-  }
-
-private:
-  const MapData *D;
-};
-
-/// Read-only window onto a queue payload.
-class QueueView {
-public:
-  explicit QueueView(const QueueData *D) : D(D) {}
-
-  size_t size() const { return D->size(); }
-  bool empty() const { return D->empty(); }
-  /// Oldest element. Precondition: !empty().
-  const Value &front() const { return D->Elems.front(); }
-  std::vector<Value> items() const { return D->items(); }
-  template <typename Fn> void forEach(Fn &&Callback) const {
-    D->Elems.forEach(std::forward<Fn>(Callback));
-  }
-  template <typename Fn> void forEachNode(Fn &&Callback) const {
-    D->Elems.forEachNode(std::forward<Fn>(Callback));
-  }
-
-private:
-  const QueueData *D;
+  const Value::QueueRep *Q;
 };
 
 // --- COW mutation handles -------------------------------------------------
 
-/// Single-use mutation handle for a set (see the file comment for the
-/// two-tier semantics). Obtain via Value::setCow(); consume with
-/// std::move(handle).finish().
-class SetCow {
-public:
-  explicit SetCow(std::shared_ptr<SetData> D) : D(std::move(D)) {}
+/// The structure a mutation handle updates: the source value's own (in
+/// place) or a detached copy of it (see the file comment).
+template <typename Rep> class CowTarget {
+protected:
+  CowTarget(const Rep &Source, bool InPlace)
+      : Shared(InPlace && Source.uniquelyOwned() ? const_cast<Rep *>(&Source)
+                                                 : nullptr),
+        Copy(Shared ? Rep() : Source.detached()) {}
 
-  void add(Value V) { D->Elems.insertMut(std::move(V)); }
-  /// Returns true when the element was present.
-  bool remove(const Value &V) { return D->Elems.eraseMut(V); }
-  size_t size() const { return D->size(); }
-  bool contains(const Value &V) const { return D->contains(V); }
-
-  /// The resulting value; the handle is spent.
-  Value finish() && { return Value::set(std::move(D)); }
+  Rep &rep() { return Shared ? *Shared : Copy; }
+  const Rep &rep() const { return Shared ? *Shared : Copy; }
+  /// The updated structure; the handle is spent.
+  Rep take() { return Shared ? *Shared : std::move(Copy); }
 
 private:
-  std::shared_ptr<SetData> D;
+  Rep *Shared;
+  Rep Copy;
+};
+
+/// Single-use mutation handle for a set. Obtain via Value::setCow();
+/// consume with std::move(handle).finish().
+class SetCow : CowTarget<Value::SetRep> {
+public:
+  void add(Value V) { rep().insertMut(std::move(V)); }
+  /// Returns true when the element was present.
+  bool remove(const Value &V) { return rep().eraseMut(V); }
+
+  /// The resulting value; the handle is spent.
+  Value finish() && { return Value(Value::Payload(take())); }
+
+private:
+  friend class Value;
+  SetCow(const Value::SetRep &Source, bool InPlace)
+      : CowTarget(Source, InPlace) {}
 };
 
 /// Single-use mutation handle for a map.
-class MapCow {
+class MapCow : CowTarget<Value::MapRep> {
 public:
-  explicit MapCow(std::shared_ptr<MapData> D) : D(std::move(D)) {}
-
   void put(Value Key, Value Val) {
-    D->Entries.setMut(std::move(Key), std::move(Val));
+    rep().setMut(std::move(Key), std::move(Val));
   }
   /// Returns true when the key was present.
-  bool remove(const Value &Key) { return D->Entries.eraseMut(Key); }
-  size_t size() const { return D->size(); }
-  const Value *find(const Value &Key) const { return D->find(Key); }
+  bool remove(const Value &Key) { return rep().eraseMut(Key); }
 
-  Value finish() && { return Value::map(std::move(D)); }
+  Value finish() && { return Value(Value::Payload(take())); }
 
 private:
-  std::shared_ptr<MapData> D;
+  friend class Value;
+  MapCow(const Value::MapRep &Source, bool InPlace)
+      : CowTarget(Source, InPlace) {}
 };
 
-/// Single-use mutation handle for a queue. The banker's queue is already
-/// O(1) per operation in its persistent form, so both tiers use the
-/// persistent ops; the handle still distinguishes wrapper reuse so the
-/// in-place verdict keeps handle identity (and skips a wrapper
-/// allocation).
-class QueueCow {
+/// Single-use mutation handle for a queue. The banker's queue is O(1) per
+/// operation in both tiers; in place the handle reuses the root, so the
+/// value keeps its identity and skips the root copy.
+class QueueCow : CowTarget<Value::QueueRep> {
 public:
-  explicit QueueCow(std::shared_ptr<QueueData> D) : D(std::move(D)) {}
-
-  void enqueue(Value V) { D->Elems = D->Elems.enqueue(std::move(V)); }
+  void enqueue(Value V) { rep().enqueueMut(std::move(V)); }
   /// Drops the oldest element. Precondition: !empty().
-  void dequeue() { D->Elems = D->Elems.dequeue(); }
-  size_t size() const { return D->size(); }
-  bool empty() const { return D->empty(); }
-  const Value &front() const { return D->Elems.front(); }
+  void dequeue() { rep().dequeueMut(); }
+  size_t size() const { return rep().size(); }
 
-  Value finish() && { return Value::queue(std::move(D)); }
+  Value finish() && { return Value(Value::Payload(take())); }
 
 private:
-  std::shared_ptr<QueueData> D;
+  friend class Value;
+  QueueCow(const Value::QueueRep &Source, bool InPlace)
+      : CowTarget(Source, InPlace) {}
 };
 
 } // namespace tessla

@@ -6,14 +6,14 @@
 ///
 /// \file
 /// The dynamic value carried by one stream event: a scalar (unit, bool,
-/// int, float, string) or a handle to an aggregate (set, map, queue).
-/// Aggregate payloads live behind shared_ptr handles so values pass
-/// between streams in O(1). Every payload is one persistent structure
-/// (HAMT / banker's queue) with refcounted nodes; reads go through
-/// immutable views (asSet/asMap/asQueue) and updates through
-/// copy-on-write mutation handles (setCow/mapCow/queueCow) that apply
-/// the aggregate update analysis's in-place verdict as a destructive
-/// fast tier over the same representation — see Runtime/Containers.h.
+/// int, float, string) or an aggregate (set, map, queue). An aggregate
+/// value holds its persistent structure (HAMT / banker's queue) directly,
+/// so values pass between streams in O(1) and the structure's refcounted
+/// root node is the one ownership layer. Reads go through immutable views
+/// (asSet/asMap/asQueue) and updates through copy-on-write mutation
+/// handles (setCow/mapCow/queueCow) that apply the aggregate update
+/// analysis's in-place verdict as a destructive fast tier over the same
+/// representation — see Runtime/Containers.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,18 +21,17 @@
 #define TESSLA_RUNTIME_VALUE_H
 
 #include "tessla/Lang/Spec.h"
+#include "tessla/Persistent/HAMT.h"
+#include "tessla/Persistent/Queue.h"
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <variant>
 
 namespace tessla {
 
-struct SetData;
-struct MapData;
-struct QueueData;
+struct ValueHash;
 class SetView;
 class MapView;
 class QueueView;
@@ -40,11 +39,18 @@ class SetCow;
 class MapCow;
 class QueueCow;
 
-/// Runtime value. Cheap to copy (scalars by value, aggregates by handle).
+/// Runtime value. Cheap to copy (scalars by value, aggregates by root).
 class Value {
 public:
   enum class Kind : uint8_t { Unit, Bool, Int, Float, String, Set, Map,
                               Queue };
+
+  /// The aggregate representations. Every aggregate value has a root
+  /// node: it names the version (aggregateIdentity) and its refcount is
+  /// the uniqueness test of the in-place tier.
+  using SetRep = HamtSet<Value, ValueHash>;
+  using MapRep = HamtMap<Value, Value, ValueHash>;
+  using QueueRep = PQueue<Value>;
 
   /// Defaults to the unit value.
   Value() = default;
@@ -59,15 +65,6 @@ public:
   static Value integer(int64_t I) { return Value(Payload(I)); }
   static Value floating(double D) { return Value(Payload(D)); }
   static Value string(std::string S) { return Value(Payload(std::move(S))); }
-  static Value set(std::shared_ptr<SetData> D) {
-    return Value(Payload(std::move(D)));
-  }
-  static Value map(std::shared_ptr<MapData> D) {
-    return Value(Payload(std::move(D)));
-  }
-  static Value queue(std::shared_ptr<QueueData> D) {
-    return Value(Payload(std::move(D)));
-  }
 
   /// Builds a value from a specification literal.
   static Value fromLiteral(const ConstantLit &Lit);
@@ -83,50 +80,48 @@ public:
   double getFloat() const { return std::get<double>(V); }
   const std::string &getString() const { return std::get<std::string>(V); }
 
-  /// Fresh empty aggregates.
+  /// Fresh empty aggregates, each with its own root node.
   static Value emptySet();
   static Value emptyMap();
   static Value emptyQueue();
 
-  /// Immutable views onto aggregate payloads (Runtime/Containers.h) —
-  /// the only way to read an aggregate. Precondition: matching kind().
-  /// The view is valid while this value (or a copy of its handle) lives.
+  /// Immutable views onto aggregates (Runtime/Containers.h) — the only
+  /// way to read one. Precondition: matching kind(). The view is valid
+  /// while this value (or a copy of it) lives.
   SetView asSet() const;
   MapView asMap() const;
   QueueView asQueue() const;
 
   /// Copy-on-write mutation handles. \p InPlace is the mutability
   /// analysis's verdict for the updated stream family: when it proved
-  /// exclusivity and this value's handle is dynamically unique, the
-  /// handle mutates the payload destructively (the paper's in-place
-  /// regime); otherwise it starts from an O(1) wrapper copy that shares
-  /// the node tree and every update path-copies — all other sharers are
-  /// unaffected. Precondition: matching kind().
-  SetCow setCow(bool InPlace) const;
-  MapCow mapCow(bool InPlace) const;
-  QueueCow queueCow(bool InPlace) const;
+  /// exclusivity and this value's root node is uniquely owned, the handle
+  /// updates this value's structure destructively (the paper's in-place
+  /// regime); otherwise it starts from a detached copy of the root that
+  /// shares every other node and every update path-copies — all other
+  /// sharers are unaffected. An in-place handle refers to this value, so
+  /// it must not outlive it (hence no handles on temporaries).
+  /// Precondition: matching kind().
+  SetCow setCow(bool InPlace) const &;
+  MapCow mapCow(bool InPlace) const &;
+  QueueCow queueCow(bool InPlace) const &;
+  SetCow setCow(bool InPlace) const && = delete;
+  MapCow mapCow(bool InPlace) const && = delete;
+  QueueCow queueCow(bool InPlace) const && = delete;
 
-  /// The payload pointer of an aggregate (nullptr for scalars): stable
-  /// identity for structural-sharing detection (serialization dedup,
-  /// equality fast paths, memory accounting).
+  /// The root node of an aggregate (nullptr for scalars): names exactly
+  /// one version of one kind, for structural-sharing detection
+  /// (serialization dedup, equality fast paths, memory accounting).
   const void *aggregateIdentity() const;
 
-  /// Memory-accounting walk: reports the payload wrapper and every
-  /// persistent node of an aggregate as (pointer, resident bytes,
-  /// refcount); the callback returns true to descend, false to skip a
-  /// subtree it has already visited through another root. Top-level
-  /// payload only — aggregates nested inside elements are not walked.
-  /// No-op for scalars.
+  /// Memory-accounting walk: reports every persistent node of an
+  /// aggregate (trie nodes; queue root and list nodes) as (pointer,
+  /// resident bytes, refcount); the callback returns true to descend,
+  /// false to skip a subtree it has already visited through another
+  /// root. Top-level structure only — aggregates nested inside elements
+  /// are not walked. No-op for scalars.
   void forEachAggregateNode(
       const std::function<bool(const void *, size_t, uint32_t)> &Callback)
       const;
-
-  /// Historical name from the dual-representation era, when mutable
-  /// payloads had to be cloned before outliving a handler callback.
-  /// Payloads are persistent now: sharing the handle is always safe (a
-  /// later destructive update sees the share and path-copies), so this
-  /// is the identity — O(1).
-  Value deepCopy() const { return *this; }
 
   /// Deep structural equality (aggregates compared element-wise,
   /// independent of representation).
@@ -148,10 +143,12 @@ public:
   std::string str() const;
 
 private:
-  using Payload =
-      std::variant<std::monostate, bool, int64_t, double, std::string,
-                   std::shared_ptr<SetData>, std::shared_ptr<MapData>,
-                   std::shared_ptr<QueueData>>;
+  friend class SetCow;
+  friend class MapCow;
+  friend class QueueCow;
+
+  using Payload = std::variant<std::monostate, bool, int64_t, double,
+                               std::string, SetRep, MapRep, QueueRep>;
 
   explicit Value(Payload P) : V(std::move(P)) {}
 

@@ -160,7 +160,8 @@ Value bc::readValue(ByteReader &R, DecodeContext &Ctx, unsigned Depth,
     if (!readAggregateCount(R, Ctx, N))
       return Value::unit();
     size_t Slot = reserveShareSlot(Share);
-    SetCow D = Value::emptySet().setCow(true);
+    Value Fresh = Value::emptySet();
+    SetCow D = Fresh.setCow(true);
     for (uint32_t I = 0; I != N && Ctx.Ok && !R.failed(); ++I)
       D.add(readValue(R, Ctx, Depth + 1, Share));
     Value Out = std::move(D).finish();
@@ -172,7 +173,8 @@ Value bc::readValue(ByteReader &R, DecodeContext &Ctx, unsigned Depth,
     if (!readAggregateCount(R, Ctx, N))
       return Value::unit();
     size_t Slot = reserveShareSlot(Share);
-    MapCow D = Value::emptyMap().mapCow(true);
+    Value Fresh = Value::emptyMap();
+    MapCow D = Fresh.mapCow(true);
     for (uint32_t I = 0; I != N && Ctx.Ok && !R.failed(); ++I) {
       Value K = readValue(R, Ctx, Depth + 1, Share);
       Value V = readValue(R, Ctx, Depth + 1, Share);
@@ -187,7 +189,8 @@ Value bc::readValue(ByteReader &R, DecodeContext &Ctx, unsigned Depth,
     if (!readAggregateCount(R, Ctx, N))
       return Value::unit();
     size_t Slot = reserveShareSlot(Share);
-    QueueCow D = Value::emptyQueue().queueCow(true);
+    Value Fresh = Value::emptyQueue();
+    QueueCow D = Fresh.queueCow(true);
     for (uint32_t I = 0; I != N && Ctx.Ok && !R.failed(); ++I)
       D.enqueue(readValue(R, Ctx, Depth + 1, Share));
     Value Out = std::move(D).finish();

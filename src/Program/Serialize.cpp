@@ -640,10 +640,9 @@ ProgramSerializer::decode(const uint8_t *Data, size_t Size,
     Step.Fn2 = Builtins[Fn2Idx].Id;
     Step.InPlace = InPlace != 0;
     Step.InPlace2 = InPlace2 != 0;
-    // Each step owns its constant: mutable aggregate payloads must not
-    // be shared across steps (a destructive in-place family would
-    // update both), which deepCopy() restores exactly as compile() did.
-    Step.ConstVal = Pool[PoolIdx].deepCopy();
+    // Steps may share a pooled constant: a shared root is never updated
+    // in place.
+    Step.ConstVal = Pool[PoolIdx];
     // Re-resolve the evaluators by name — never from stored pointers.
     switch (Step.Op) {
     case Opcode::LiftAll:

@@ -469,7 +469,7 @@ void BatchedMonitor::sweep() {
       if (Present[I]) {
         ++NumOutputs[L];
         if (CollectOutputs)
-          Outputs[L].push_back({RunTs[L], Out.Id, Cur[I].deepCopy()});
+          Outputs[L].push_back({RunTs[L], Out.Id, Cur[I]});
       }
     }
   }

@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <functional>
 
 using namespace tessla;
 
@@ -186,20 +187,29 @@ Value evalNeq(const Value *const *Args, bool, EvalError &) {
   return Value::boolean(!(TESSLA_ARG(0) == TESSLA_ARG(1)));
 }
 
+/// Float operands compare by IEEE rules (every comparison with NaN is
+/// false), as the native tier does; everything else by compareValues.
+template <typename Cmp>
+Value compare(const Value &A, const Value &B, Cmp Holds) {
+  if (A.kind() == Value::Kind::Float && B.kind() == Value::Kind::Float)
+    return Value::boolean(Holds(A.getFloat(), B.getFloat()));
+  return Value::boolean(Holds(compareValues(A, B), 0));
+}
+
 Value evalLt(const Value *const *Args, bool, EvalError &) {
-  return Value::boolean(compareValues(TESSLA_ARG(0), TESSLA_ARG(1)) < 0);
+  return compare(TESSLA_ARG(0), TESSLA_ARG(1), std::less<>());
 }
 
 Value evalLeq(const Value *const *Args, bool, EvalError &) {
-  return Value::boolean(compareValues(TESSLA_ARG(0), TESSLA_ARG(1)) <= 0);
+  return compare(TESSLA_ARG(0), TESSLA_ARG(1), std::less_equal<>());
 }
 
 Value evalGt(const Value *const *Args, bool, EvalError &) {
-  return Value::boolean(compareValues(TESSLA_ARG(0), TESSLA_ARG(1)) > 0);
+  return compare(TESSLA_ARG(0), TESSLA_ARG(1), std::greater<>());
 }
 
 Value evalGeq(const Value *const *Args, bool, EvalError &) {
-  return Value::boolean(compareValues(TESSLA_ARG(0), TESSLA_ARG(1)) >= 0);
+  return compare(TESSLA_ARG(0), TESSLA_ARG(1), std::greater_equal<>());
 }
 
 Value evalLAnd(const Value *const *Args, bool, EvalError &Err) {

@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Value's aggregate surface: view and COW-handle constructors live here,
-// where the payload types are complete.
+// Value's aggregate surface: factories, views, COW handles, identity and
+// the node walk.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,59 +13,34 @@
 
 using namespace tessla;
 
-Value Value::emptySet() { return Value::set(std::make_shared<SetData>()); }
-Value Value::emptyMap() { return Value::map(std::make_shared<MapData>()); }
-Value Value::emptyQueue() {
-  return Value::queue(std::make_shared<QueueData>());
-}
+// detached() on an empty structure allocates its root: every aggregate
+// value has one, so distinct empties never share an identity.
+Value Value::emptySet() { return Value(Payload(SetRep().detached())); }
+Value Value::emptyMap() { return Value(Payload(MapRep().detached())); }
+Value Value::emptyQueue() { return Value(Payload(QueueRep().detached())); }
 
-SetView Value::asSet() const {
-  return SetView(std::get<std::shared_ptr<SetData>>(V).get());
-}
-MapView Value::asMap() const {
-  return MapView(std::get<std::shared_ptr<MapData>>(V).get());
-}
-QueueView Value::asQueue() const {
-  return QueueView(std::get<std::shared_ptr<QueueData>>(V).get());
-}
+SetView Value::asSet() const { return SetView(std::get<SetRep>(V)); }
+MapView Value::asMap() const { return MapView(std::get<MapRep>(V)); }
+QueueView Value::asQueue() const { return QueueView(std::get<QueueRep>(V)); }
 
-// The uniqueness check must read the use count *before* copying the
-// handle into the COW wrapper (the copy itself would push it to 2).
-// Wrapper-unique + InPlace selects the destructive tier: the handle
-// shares the wrapper, so the update is visible through this value —
-// exactly the in-place regime's contract. Node-level uniqueness is
-// checked separately inside the transient structure ops, so a wrapper
-// that was forked from another session still path-copies shared nodes.
-
-SetCow Value::setCow(bool InPlace) const {
-  const auto &H = std::get<std::shared_ptr<SetData>>(V);
-  if (InPlace && H.use_count() == 1)
-    return SetCow(H);
-  return SetCow(std::make_shared<SetData>(*H));
+SetCow Value::setCow(bool InPlace) const & {
+  return SetCow(std::get<SetRep>(V), InPlace);
 }
-
-MapCow Value::mapCow(bool InPlace) const {
-  const auto &H = std::get<std::shared_ptr<MapData>>(V);
-  if (InPlace && H.use_count() == 1)
-    return MapCow(H);
-  return MapCow(std::make_shared<MapData>(*H));
+MapCow Value::mapCow(bool InPlace) const & {
+  return MapCow(std::get<MapRep>(V), InPlace);
 }
-
-QueueCow Value::queueCow(bool InPlace) const {
-  const auto &H = std::get<std::shared_ptr<QueueData>>(V);
-  if (InPlace && H.use_count() == 1)
-    return QueueCow(H);
-  return QueueCow(std::make_shared<QueueData>(*H));
+QueueCow Value::queueCow(bool InPlace) const & {
+  return QueueCow(std::get<QueueRep>(V), InPlace);
 }
 
 const void *Value::aggregateIdentity() const {
   switch (kind()) {
   case Kind::Set:
-    return std::get<std::shared_ptr<SetData>>(V).get();
+    return std::get<SetRep>(V).root();
   case Kind::Map:
-    return std::get<std::shared_ptr<MapData>>(V).get();
+    return std::get<MapRep>(V).root();
   case Kind::Queue:
-    return std::get<std::shared_ptr<QueueData>>(V).get();
+    return std::get<QueueRep>(V).root();
   default:
     return nullptr;
   }
@@ -75,30 +50,12 @@ void Value::forEachAggregateNode(
     const std::function<bool(const void *, size_t, uint32_t)> &Callback)
     const {
   switch (kind()) {
-  case Kind::Set: {
-    const auto &H = std::get<std::shared_ptr<SetData>>(V);
-    if (!Callback(H.get(), sizeof(SetData),
-                  static_cast<uint32_t>(H.use_count())))
-      return;
-    H->Elems.forEachNode(Callback);
-    return;
-  }
-  case Kind::Map: {
-    const auto &H = std::get<std::shared_ptr<MapData>>(V);
-    if (!Callback(H.get(), sizeof(MapData),
-                  static_cast<uint32_t>(H.use_count())))
-      return;
-    H->Entries.forEachNode(Callback);
-    return;
-  }
-  case Kind::Queue: {
-    const auto &H = std::get<std::shared_ptr<QueueData>>(V);
-    if (!Callback(H.get(), sizeof(QueueData),
-                  static_cast<uint32_t>(H.use_count())))
-      return;
-    H->Elems.forEachNode(Callback);
-    return;
-  }
+  case Kind::Set:
+    return std::get<SetRep>(V).forEachNode(Callback);
+  case Kind::Map:
+    return std::get<MapRep>(V).forEachNode(Callback);
+  case Kind::Queue:
+    return std::get<QueueRep>(V).forEachNode(Callback);
   default:
     return;
   }

@@ -183,8 +183,8 @@ private:
     std::vector<OutputEvent> *Out = Lanes[Lane].Outputs.get();
     Lanes[Lane].M->setOutputHandler(
         [Out](Time Ts, StreamId Id, const Value &V) {
-          // Borrowed handler value; recording requires a deep copy.
-          Out->push_back({Ts, Id, V.deepCopy()});
+          // The copy shares the root, so later updates path-copy.
+          Out->push_back({Ts, Id, V});
         });
   }
 };

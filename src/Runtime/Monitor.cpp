@@ -393,10 +393,9 @@ std::vector<OutputEvent> tessla::runMonitor(
   Monitor M(Prog);
   std::vector<OutputEvent> Out;
   M.setOutputHandler([&Out](Time Ts, StreamId Id, const Value &V) {
-    // The handler's value is borrowed: with the optimization on, the
-    // aggregate behind it will be destructively updated at later
-    // timestamps. Recording requires a deep copy.
-    Out.push_back({Ts, Id, V.deepCopy()});
+    // The handler's value is borrowed; the copy shares its root, so an
+    // in-place update at a later timestamp path-copies instead.
+    Out.push_back({Ts, Id, V});
   });
   for (const auto &[Id, Ts, V] : Events) {
     if (!M.feed(Id, Ts, V))

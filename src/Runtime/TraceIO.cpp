@@ -164,7 +164,8 @@ private:
       return std::nullopt;
     if (consumeArrow())
       return parseMapRest(std::move(*First));
-    SetCow Set = Value::emptySet().setCow(true);
+    Value Fresh = Value::emptySet();
+    SetCow Set = Fresh.setCow(true);
     Set.add(std::move(*First));
     while (!consumeChar('}')) {
       if (!consumeChar(','))
@@ -178,7 +179,8 @@ private:
   }
 
   std::optional<Value> parseMapRest(Value FirstKey) {
-    MapCow Map = Value::emptyMap().mapCow(true);
+    Value Fresh = Value::emptyMap();
+    MapCow Map = Fresh.mapCow(true);
     auto FirstVal = parseValue();
     if (!FirstVal)
       return std::nullopt;
@@ -199,7 +201,8 @@ private:
 
   std::optional<Value> parseQueue() {
     ++Pos; // '<'
-    QueueCow Queue = Value::emptyQueue().queueCow(true);
+    Value Fresh = Value::emptyQueue();
+    QueueCow Queue = Fresh.queueCow(true);
     if (consumeChar('>'))
       return std::move(Queue).finish();
     while (true) {
@@ -313,8 +316,8 @@ tessla::runMonitor(const Program &Prog, const EventBatch &Batch,
   Monitor M(Prog);
   std::vector<OutputEvent> Out;
   M.setOutputHandler([&Out](Time Ts, StreamId Id, const Value &V) {
-    // Borrowed handler value; recording requires a deep copy.
-    Out.push_back({Ts, Id, V.deepCopy()});
+    // The copy shares the root, so later updates path-copy.
+    Out.push_back({Ts, Id, V});
   });
   feedBatch(M, Batch);
   M.finish(Horizon);

@@ -54,6 +54,9 @@ std::string_view tessla::valueKindName(Value::Kind K) {
 bool tessla::operator==(const Value &A, const Value &B) {
   if (A.kind() != B.kind())
     return false;
+  // One root names one version: the same root means the same contents.
+  if (A.isAggregate() && A.aggregateIdentity() == B.aggregateIdentity())
+    return true;
   switch (A.kind()) {
   case Value::Kind::Unit:
     return true;
@@ -66,8 +69,6 @@ bool tessla::operator==(const Value &A, const Value &B) {
   case Value::Kind::String:
     return A.getString() == B.getString();
   case Value::Kind::Set: {
-    if (A.aggregateIdentity() == B.aggregateIdentity())
-      return true;
     SetView SA = A.asSet(), SB = B.asSet();
     if (SA.size() != SB.size())
       return false;
@@ -77,8 +78,6 @@ bool tessla::operator==(const Value &A, const Value &B) {
     return true;
   }
   case Value::Kind::Map: {
-    if (A.aggregateIdentity() == B.aggregateIdentity())
-      return true;
     MapView MA = A.asMap(), MB = B.asMap();
     if (MA.size() != MB.size())
       return false;
@@ -90,8 +89,6 @@ bool tessla::operator==(const Value &A, const Value &B) {
     return true;
   }
   case Value::Kind::Queue: {
-    if (A.aggregateIdentity() == B.aggregateIdentity())
-      return true;
     QueueView QA = A.asQueue(), QB = B.asQueue();
     if (QA.size() != QB.size())
       return false;

@@ -88,7 +88,7 @@ observe(const Program &Prog,
   M.setOutputHandler([&](Time T, StreamId Id, const Value &V) {
     StreamObservation &O = Obs[Id];
     O.Ticks.push_back(T);
-    O.Values.push_back(V.deepCopy());
+    O.Values.push_back(V);
   });
   for (const auto &[Id, T, V] : Events)
     if (!M.feed(Id, T, V))

@@ -70,7 +70,7 @@ std::vector<TraceEvent> simpleTrace(const Spec &S) {
   StreamId X = *S.lookup("x");
   std::vector<TraceEvent> Events;
   for (int64_t I = 0; I != 20; ++I)
-    Events.push_back({X, I * 3, Value::integer(I)});
+    Events.emplace_back(X, I * 3, Value::integer(I));
   return Events;
 }
 
@@ -261,6 +261,39 @@ TEST(NativeEngineTest, FeedValidationMatchesMonitor) {
   Engine->finishAll(std::nullopt);
   EXPECT_FALSE(Engine->laneFailed(1));
   EXPECT_GT(Engine->laneOutputEvents(1), 0u);
+}
+
+// Float comparisons follow IEEE rules in both tiers: every ordering
+// test against NaN is false. The interpreter used to rank NaN above
+// every number.
+TEST(NativeEngineTest, NanComparisonsMatchInterpreter) {
+  Program P = compileOrDie(parseOrDie(R"(
+    in x: Float
+    def y := x / x
+    def gt := y > 1.0
+    def lt := 1.0 > y
+    def ge := y >= 1.0
+    def le := y <= 1.0
+    out gt
+    out lt
+    out ge
+    out le
+  )"));
+  std::vector<TraceEvent> Events = {
+      {*P.spec().lookup("x"), 1, Value::floating(0.0)}};
+  std::string Error;
+  std::string Interp =
+      formatOutputs(P.spec(), runMonitor(P, Events, std::nullopt, &Error));
+  ASSERT_EQ(Error, "");
+  EXPECT_EQ(Interp, "1: gt = false\n1: lt = false\n1: ge = false\n"
+                    "1: le = false\n");
+
+  NativeCompileOptions Opts;
+  Opts.CacheDir = freshDir("nan");
+  auto Lib = compileNative(P, Opts, Error);
+  ASSERT_TRUE(Lib) << Error;
+  auto Engine = makeNativeEngineFactory(Lib)(P, true);
+  EXPECT_EQ(engineOutput(*Engine, Events, P.spec()), Interp);
 }
 
 #endif // !TESSLA_TSAN

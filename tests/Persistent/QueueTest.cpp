@@ -78,6 +78,28 @@ TEST(PQueueTest, Equality) {
 
 /// Property: behaves exactly like std::deque under random op sequences,
 /// including persistence of snapshots.
+TEST(PQueueTest, TransientOpsReuseOnlyAUniqueRoot) {
+  PQueue<int> Q = PQueue<int>().enqueue(1).enqueue(2);
+  const void *Root = Q.root();
+  ASSERT_TRUE(Q.uniquelyOwned());
+  Q.enqueueMut(3);
+  Q.dequeueMut();
+  EXPECT_EQ(Q.root(), Root) << "a unique root is updated in place";
+
+  PQueue<int> Snapshot = Q;
+  EXPECT_FALSE(Q.uniquelyOwned());
+  Q.enqueueMut(4);
+  EXPECT_NE(Q.root(), Root) << "a shared root is copied first";
+  EXPECT_EQ(Snapshot.size(), 2u) << "the sharer is untouched";
+  EXPECT_EQ(Snapshot.front(), 2);
+  EXPECT_EQ(Q.size(), 3u);
+
+  PQueue<int> Copy = Q.detached();
+  EXPECT_NE(Copy.root(), Q.root());
+  EXPECT_TRUE(Copy == Q);
+  EXPECT_NE(PQueue<int>().detached().root(), nullptr);
+}
+
 TEST(PQueueTest, MatchesDequeUnderRandomOps) {
   std::mt19937 Rng(5);
   for (int Round = 0; Round != 20; ++Round) {

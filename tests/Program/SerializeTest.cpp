@@ -163,12 +163,14 @@ TEST(SerializeTest, AggregateConstantsRoundTrip) {
     auto View = P.optView();
     ASSERT_GE(View.Steps.size(), 3u);
 
-    SetCow SC = Value::emptySet().setCow(InPlace);
+    Value ES = Value::emptySet(), EM = Value::emptyMap(),
+          EQ = Value::emptyQueue();
+    SetCow SC = ES.setCow(InPlace);
     SC.add(Value::integer(3));
     SC.add(Value::integer(-7));
-    MapCow MC = Value::emptyMap().mapCow(InPlace);
+    MapCow MC = EM.mapCow(InPlace);
     MC.put(Value::integer(1), Value::string("one"));
-    QueueCow QC = Value::emptyQueue().queueCow(InPlace);
+    QueueCow QC = EQ.queueCow(InPlace);
     QC.enqueue(Value::boolean(true));
     QC.enqueue(Value::floating(2.5));
     View.Steps[0].ConstVal = std::move(SC).finish();

@@ -427,9 +427,9 @@ inline std::string minimizeAndReport(const Spec &Original,
     std::ofstream(TracePath) << renderTrace(Of);
     Report << "repro (session " << Session << "; diff the two engines):\n"
            << "  tesslac " << SpecPath << " " << OptFlag << BaseFlag
-           << " --run " << TracePath << " --fleet 4 --batched\n"
+           << " --run " << TracePath << " --fleet 4 --engine=batched\n"
            << "  tesslac " << SpecPath << " " << OptFlag << BaseFlag
-           << " --run " << TracePath << " --fleet 4 --per-session\n";
+           << " --run " << TracePath << " --fleet 4 --engine=interp\n";
   }
   if (Sessions.size() > 1)
     Report << "note: " << Sessions.size()

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace tessla;
 
 namespace {
@@ -117,6 +119,32 @@ TEST(BuiltinImplsTest, ComparisonsAndBooleans) {
   EXPECT_TRUE(apply(BuiltinId::LNot, {Value::boolean(false)}).getBool());
 }
 
+TEST(BuiltinImplsTest, FloatComparisonsFollowIeee) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  struct Row {
+    double A, B;
+    bool Lt, Leq, Gt, Geq;
+  };
+  const Row Rows[] = {
+      {NaN, 1.0, false, false, false, false},
+      {1.0, NaN, false, false, false, false},
+      {NaN, NaN, false, false, false, false},
+      {-0.0, 0.0, false, true, false, true},
+      {1.0, 2.5, true, true, false, false},
+      {2.5, 1.0, false, false, true, true},
+      {-std::numeric_limits<double>::infinity(), -1e308, true, true, false,
+       false},
+  };
+  for (const Row &R : Rows) {
+    std::vector<Value> Args = {Value::floating(R.A), Value::floating(R.B)};
+    std::string Where = std::to_string(R.A) + " vs " + std::to_string(R.B);
+    EXPECT_EQ(apply(BuiltinId::Lt, Args).getBool(), R.Lt) << Where;
+    EXPECT_EQ(apply(BuiltinId::Leq, Args).getBool(), R.Leq) << Where;
+    EXPECT_EQ(apply(BuiltinId::Gt, Args).getBool(), R.Gt) << Where;
+    EXPECT_EQ(apply(BuiltinId::Geq, Args).getBool(), R.Geq) << Where;
+  }
+}
+
 TEST(BuiltinImplsTest, Conversions) {
   EXPECT_DOUBLE_EQ(apply(BuiltinId::ToFloat, {Value::integer(3)})
                        .getFloat(),
@@ -142,7 +170,7 @@ TEST(BuiltinImplsTest, PersistentSetOpsPreserveArgument) {
   EXPECT_EQ(S0.asSet().size(), 0u) << "argument untouched";
   EXPECT_EQ(S1.asSet().size(), 1u);
   EXPECT_EQ(S2.asSet().size(), 2u);
-  EXPECT_NE(S1.aggregateIdentity(), S2.aggregateIdentity()) << "fresh handle";
+  EXPECT_NE(S1.aggregateIdentity(), S2.aggregateIdentity()) << "fresh root";
   EXPECT_TRUE(
       apply(BuiltinId::SetContains, {S2, Value::integer(1)}).getBool());
   Value S3 = apply(BuiltinId::SetRemove, {S2, Value::integer(1)});
@@ -157,17 +185,17 @@ TEST(BuiltinImplsTest, DestructiveSetOpsShareHandle) {
   Value S1 = applyInPlace(BuiltinId::SetAdd, {&S0, &One}, Err);
   ASSERT_FALSE(Err.Failed);
   EXPECT_EQ(S1.aggregateIdentity(), S0.aggregateIdentity())
-      << "destructive update returns the same handle";
+      << "destructive update keeps the root";
   EXPECT_EQ(S0.asSet().size(), 1u) << "argument mutated in place";
 }
 
 TEST(BuiltinImplsTest, DestructiveVerdictWithSharedHandlePathCopies) {
-  // The static verdict alone is not enough: a dynamically shared handle
+  // The static verdict alone is not enough: a dynamically shared root
   // forces the persistent path even in in-place mode, so the sharer
   // survives unchanged.
   EvalError Err;
   Value S0 = emptySet(true);
-  Value Sharer = S0; // use_count == 2
+  Value Sharer = S0; // root refcount 2
   Value One = Value::integer(1);
   Value S1 = applyInPlace(BuiltinId::SetAdd, {&S0, &One}, Err);
   ASSERT_FALSE(Err.Failed);
@@ -257,7 +285,7 @@ TEST(BuiltinImplsTest, QueueTrim) {
   Value Trimmed = apply(BuiltinId::QueueTrim, {Q, Value::integer(3)});
   EXPECT_EQ(apply(BuiltinId::QueueSize, {Trimmed}).getInt(), 3);
   EXPECT_EQ(apply(BuiltinId::QueueFront, {Trimmed}).getInt(), 2);
-  // Trimming below an already-small size shares the handle.
+  // Trimming below an already-small size shares the root.
   Value Same = apply(BuiltinId::QueueTrim, {Trimmed, Value::integer(10)});
   EXPECT_EQ(Same.aggregateIdentity(), Trimmed.aggregateIdentity());
   // Destructive trim mutates in place.

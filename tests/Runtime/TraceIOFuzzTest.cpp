@@ -120,7 +120,7 @@ TEST(TraceIOFuzzTest, FormatParseFormatIsIdentity) {
     auto Events = randomTrace(S, 120, Seed);
     std::vector<OutputEvent> AsOutputs;
     for (const auto &[Id, Ts, V] : Events)
-      AsOutputs.push_back({Ts, Id, V.deepCopy()});
+      AsOutputs.push_back({Ts, Id, V});
     std::string Text = formatOutputs(S, AsOutputs);
 
     DiagnosticEngine Diags;
@@ -142,7 +142,7 @@ TEST(TraceIOFuzzTest, FormatParseFormatIsIdentity) {
     // Second render reaches a fixpoint (canonical form).
     std::vector<OutputEvent> Again;
     for (const auto &[Id, Ts, V] : *Parsed)
-      Again.push_back({Ts, Id, V.deepCopy()});
+      Again.push_back({Ts, Id, V});
     EXPECT_EQ(formatOutputs(S, Again), Text) << "seed " << Seed;
   }
 }

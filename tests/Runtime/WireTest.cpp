@@ -14,6 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "tessla/Program/BinaryCodec.h"
+#include "tessla/Runtime/Containers.h"
 #include "tessla/Runtime/Wire.h"
 
 #include <gtest/gtest.h>
@@ -214,12 +216,13 @@ TEST(WireTest, EveryBitFlipIsContained) {
       FrameDecoder D;
       D.append(Flipped.data(), Flipped.size());
       auto F = D.next();
-      if (F)
+      if (F) {
         EXPECT_EQ(F->Payload, Original)
             << "bit " << Bit << " at offset " << Off
             << " let a corrupted payload through";
-      else if (D.failed())
+      } else if (D.failed()) {
         EXPECT_FALSE(D.error().empty()) << "silent poison at " << Off;
+      }
     }
   }
 }
@@ -369,6 +372,66 @@ TEST(WireTest, ControlCodecsRejectTruncation) {
   std::vector<uint8_t> U = encodeU64(7);
   for (size_t Len = 0; Len != U.size(); ++Len)
     EXPECT_FALSE(decodeU64(U.data(), Len, Err)) << Len;
+}
+
+// aggregateIdentity() keys the codec's back-reference table, so it must
+// name exactly one version of one kind. Empty aggregates of different
+// kinds must not collapse into one entry, and neither may a queue and
+// its own enqueue, which share the front spine.
+TEST(WireTest, ShareTableKeepsKindsAndVersionsApart) {
+  Value Q = Value::emptyQueue();
+  {
+    QueueCow C = Q.queueCow(true);
+    for (int64_t I = 1; I <= 3; ++I)
+      C.enqueue(Value::integer(I));
+    C.dequeue(); // moves the rest to the front spine
+    Q = std::move(C).finish();
+  }
+  QueueCow Grown = Q.queueCow(false);
+  Grown.enqueue(Value::integer(4));
+  Value Q2 = std::move(Grown).finish();
+
+  Value Empties[] = {Value::emptySet(), Value::emptyMap(),
+                     Value::emptyQueue()};
+  std::vector<Value> Scope;
+  for (int Copy = 0; Copy != 3; ++Copy)
+    for (const Value &E : Empties)
+      Scope.push_back(E);
+  Scope.push_back(Q);
+  Scope.push_back(Q2);
+
+  bc::ByteWriter W;
+  bc::ValueEncodeShare EncShare;
+  for (const Value &V : Scope)
+    bc::writeValue(W, V, &EncShare);
+  EXPECT_EQ(EncShare.Index.size(), 5u)
+      << "three empties and two queue versions";
+
+  bc::ByteReader R(W.data().data(), W.size());
+  DiagnosticEngine Diags;
+  bc::DecodeContext Ctx{Diags};
+  bc::ValueDecodeShare DecShare;
+  std::vector<Value> Back;
+  for (size_t I = 0; I != Scope.size(); ++I)
+    Back.push_back(bc::readValue(R, Ctx, 0, &DecShare));
+  ASSERT_TRUE(Ctx.Ok) << Diags.str();
+  EXPECT_EQ(R.remaining(), 0u);
+
+  for (size_t I = 0; I != Scope.size(); ++I) {
+    EXPECT_EQ(Back[I].kind(), Scope[I].kind()) << I;
+    EXPECT_EQ(Back[I], Scope[I]) << I << ": " << Back[I].str();
+  }
+  for (size_t I = 0; I != 3; ++I) {
+    // The copies come back as the one shared value...
+    EXPECT_EQ(Back[I + 3].aggregateIdentity(), Back[I].aggregateIdentity());
+    EXPECT_EQ(Back[I + 6].aggregateIdentity(), Back[I].aggregateIdentity());
+    // ...and the kinds stay apart.
+    EXPECT_NE(Back[I].aggregateIdentity(),
+              Back[(I + 1) % 3].aggregateIdentity());
+  }
+  EXPECT_NE(Back[9].aggregateIdentity(), Back[10].aggregateIdentity());
+  EXPECT_EQ(Back[9].str(), "<2, 3>");
+  EXPECT_EQ(Back[10].str(), "<2, 3, 4>");
 }
 
 TEST(WireTest, FormatChangeForcesVersionBump) {

@@ -127,7 +127,7 @@ TEST(TesslaRunTest, FleetEngineFlagsParity) {
   // Program must replay byte-identically under both engines.
   std::string Trace = tempPath("run_fleet_engine_trace.txt");
   writeFile(Trace, intTrace("x", 20));
-  for (const char *Engine : {"--batched", "--per-session"})
+  for (const char *Engine : {"--engine=batched", "--engine=interp"})
     expectBundleParity(specsDir() + "/seen_set.tessla", Trace,
                        std::string("--fleet 2 --sessions 4 ") + Engine);
 }
@@ -224,9 +224,8 @@ TEST(TesslaRunTest, EngineAliasesAndConflictsMatchTesslac) {
                           " --trace " + Trace);
   ASSERT_EQ(RcRef, 0);
   ASSERT_FALSE(Ref.empty()) << "vacuous comparison";
-  // The aliases and their --engine= spellings agree with the default.
-  for (const char *Engine : {" --engine=interp", " --engine=batched",
-                             " --per-session", " --batched"}) {
+  // Every --engine= selection agrees with the default.
+  for (const char *Engine : {" --engine=interp", " --engine=batched"}) {
     auto [Rc, Out] = run(std::string(TESSLA_RUN_PATH) + " " + Bundle +
                          " --trace " + Trace + Engine);
     EXPECT_EQ(Rc, 0) << Engine;
@@ -236,10 +235,10 @@ TEST(TesslaRunTest, EngineAliasesAndConflictsMatchTesslac) {
   std::string Err;
   auto [RcConflict, OutConflict] =
       run(std::string(TESSLA_RUN_PATH) + " " + Bundle + " --trace " +
-              Trace + " --per-session --engine=native",
+              Trace + " --engine=interp --engine=native",
           &Err);
   EXPECT_NE(RcConflict, 0);
-  EXPECT_NE(Err.find("conflicting engine selections '--per-session' and "
+  EXPECT_NE(Err.find("conflicting engine selections '--engine=interp' and "
                      "'--engine=native'"),
             std::string::npos)
       << Err;

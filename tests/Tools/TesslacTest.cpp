@@ -198,8 +198,8 @@ TEST(TesslacTest, FleetReplayMatchesSequentialPerSession) {
 }
 
 TEST(TesslacTest, FleetEngineFlagsAreByteIdentical) {
-  // --batched (the default via Auto) and --per-session must both be
-  // accepted and produce byte-identical replay output.
+  // --engine=batched (the default via Auto) and --engine=interp must
+  // both be accepted and produce byte-identical replay output.
   std::string TracePath = tempPath("seen_trace_engine.txt");
   writeFile(TracePath, "1: x = 5\n2: x = 5\n3: x = 6\n4: x = 5\n");
   std::string Base =
@@ -207,7 +207,7 @@ TEST(TesslacTest, FleetEngineFlagsAreByteIdentical) {
   auto [RcDefault, OutDefault] = runTool(Base);
   ASSERT_EQ(RcDefault, 0);
   ASSERT_FALSE(OutDefault.empty()) << "vacuous comparison";
-  for (const char *Engine : {" --batched", " --per-session"}) {
+  for (const char *Engine : {" --engine=batched", " --engine=interp"}) {
     auto [Rc, Out] = runTool(Base + Engine);
     EXPECT_EQ(Rc, 0) << Engine;
     EXPECT_EQ(Out, OutDefault) << Engine;
@@ -361,8 +361,8 @@ TEST(TesslacTest, ErrorsOnBadInput) {
 }
 
 TEST(TesslacTest, EngineFlagUnifiesSelection) {
-  // --engine= is the one knob; --batched / --per-session are aliases.
-  // Every selection replays byte-identically, sequential and fleet.
+  // --engine= is the one engine option. Every selection replays
+  // byte-identically, sequential and fleet.
   std::string TracePath = tempPath("seen_trace_engine_flag.txt");
   writeFile(TracePath, "1: x = 5\n2: x = 5\n3: x = 6\n4: x = 5\n");
   std::string Seq = specFile() + " --run " + TracePath;
@@ -379,8 +379,7 @@ TEST(TesslacTest, EngineFlagUnifiesSelection) {
   auto [RcFleet, OutFleet] = runTool(Fleet);
   ASSERT_EQ(RcFleet, 0);
   for (const char *Engine :
-       {" --engine=interp", " --engine=batched", " --engine=native",
-        " --batched", " --per-session"}) {
+       {" --engine=interp", " --engine=batched", " --engine=native"}) {
     auto [Rc, Out] = runTool(Fleet + Engine);
     EXPECT_EQ(Rc, 0) << Engine;
     EXPECT_EQ(Out, OutFleet) << Engine;
@@ -392,16 +391,18 @@ TEST(TesslacTest, ConflictingEngineSelectionsRejected) {
   writeFile(TracePath, "1: x = 5\n");
   std::string Err;
   auto [Rc, Out] = runTool(
-      specFile() + " --run " + TracePath + " --batched --engine=native",
+      specFile() + " --run " + TracePath +
+          " --engine=batched --engine=native",
       &Err);
   EXPECT_NE(Rc, 0);
-  EXPECT_NE(Err.find("conflicting engine selections '--batched' and "
+  EXPECT_NE(Err.find("conflicting engine selections '--engine=batched' and "
                      "'--engine=native'"),
             std::string::npos)
       << Err;
   // Agreeing selections are not a conflict.
   auto [RcAgree, OutAgree] = runTool(
-      specFile() + " --run " + TracePath + " --batched --engine=batched");
+      specFile() + " --run " + TracePath +
+      " --engine=batched --engine=batched");
   EXPECT_EQ(RcAgree, 0);
   // Unknown engines die with usage, not a silent default.
   Err.clear();
@@ -409,6 +410,13 @@ TEST(TesslacTest, ConflictingEngineSelectionsRejected) {
       specFile() + " --run " + TracePath + " --engine=warp", &Err);
   EXPECT_NE(RcBad, 0);
   EXPECT_NE(Err.find("unknown engine 'warp'"), std::string::npos) << Err;
+  // --engine= is the only spelling.
+  Err.clear();
+  auto [RcOld, OutOld] =
+      runTool(specFile() + " --run " + TracePath + " --batched", &Err);
+  EXPECT_NE(RcOld, 0);
+  EXPECT_NE(Err.find("unknown argument '--batched'"), std::string::npos)
+      << Err;
 }
 
 TEST(TesslacTest, NativeEngineFallsBackWithoutCompiler) {

@@ -78,8 +78,6 @@ void printUsage(const char *Argv0) {
       "                                    arrival-pattern heuristic\n"
       "                                    (fleet), interpreter\n"
       "                                    (sequential)\n"
-      "  --batched | --per-session         aliases for --engine=batched /\n"
-      "                                    --engine=interp\n"
       "  --plan                            print the loaded program\n"
       "                                    instead of executing\n"
       "service mode (Runtime/FleetServer.h over a Unix socket):\n"
@@ -112,7 +110,7 @@ void printUsage(const char *Argv0) {
 }
 
 /// Engine selection shared by the sequential and fleet paths. Explicit
-/// selections must agree; the aliases and --engine= are one knob.
+/// --engine= selections must agree.
 enum class EngineSel { Default, Interp, Batched, Native };
 
 std::optional<std::string> readFile(const char *Path) {
@@ -171,18 +169,6 @@ int main(int argc, char **argv) {
   std::optional<Time> FeedUntil;
   std::optional<Time> SkipUntil;
 
-  auto selectEngine = [&](EngineSel Sel, const char *Flag) {
-    if (Engine != EngineSel::Default && Engine != Sel) {
-      std::fprintf(stderr,
-                   "conflicting engine selections '%s' and '%s'\n",
-                   EngineFlag, Flag);
-      return false;
-    }
-    Engine = Sel;
-    EngineFlag = Flag;
-    return true;
-  };
-
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
     if (std::strcmp(Arg, "--trace") == 0 && I + 1 < argc) {
@@ -212,14 +198,14 @@ int main(int argc, char **argv) {
         printUsage(argv[0]);
         return 2;
       }
-      if (!selectEngine(Sel, Arg))
+      if (Engine != EngineSel::Default && Engine != Sel) {
+        std::fprintf(stderr,
+                     "conflicting engine selections '%s' and '%s'\n",
+                     EngineFlag, Arg);
         return 2;
-    } else if (std::strcmp(Arg, "--batched") == 0) {
-      if (!selectEngine(EngineSel::Batched, Arg))
-        return 2;
-    } else if (std::strcmp(Arg, "--per-session") == 0) {
-      if (!selectEngine(EngineSel::Interp, Arg))
-        return 2;
+      }
+      Engine = Sel;
+      EngineFlag = Arg;
     } else if (std::strcmp(Arg, "--plan") == 0) {
       PrintPlan = true;
     } else if (std::strcmp(Arg, "--serve") == 0 && I + 1 < argc) {

@@ -108,14 +108,12 @@ void printUsage(const char *Argv0) {
       "                                    Default: batched with an\n"
       "                                    arrival-pattern heuristic\n"
       "                                    (fleet), interpreter\n"
-      "                                    (sequential)\n"
-      "  --batched | --per-session         aliases for --engine=batched /\n"
-      "                                    --engine=interp\n",
+      "                                    (sequential)\n",
       Argv0);
 }
 
 /// Engine selection shared by the sequential and fleet paths. Explicit
-/// selections must agree; the aliases and --engine= are one knob.
+/// --engine= selections must agree.
 enum class EngineSel { Default, Interp, Batched, Native };
 
 std::optional<std::string> readFile(const char *Path) {
@@ -179,18 +177,6 @@ int main(int argc, char **argv) {
   EngineSel Engine = EngineSel::Default;
   const char *EngineFlag = nullptr; // the flag that selected it
 
-  auto selectEngine = [&](EngineSel Sel, const char *Flag) {
-    if (Engine != EngineSel::Default && Engine != Sel) {
-      std::fprintf(stderr,
-                   "conflicting engine selections '%s' and '%s'\n",
-                   EngineFlag, Flag);
-      return false;
-    }
-    Engine = Sel;
-    EngineFlag = Flag;
-    return true;
-  };
-
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
     if (std::strncmp(Arg, "--emit=", 7) == 0) {
@@ -247,14 +233,14 @@ int main(int argc, char **argv) {
         printUsage(argv[0]);
         return 2;
       }
-      if (!selectEngine(Sel, Arg))
+      if (Engine != EngineSel::Default && Engine != Sel) {
+        std::fprintf(stderr,
+                     "conflicting engine selections '%s' and '%s'\n",
+                     EngineFlag, Arg);
         return 2;
-    } else if (std::strcmp(Arg, "--batched") == 0) {
-      if (!selectEngine(EngineSel::Batched, Arg))
-        return 2;
-    } else if (std::strcmp(Arg, "--per-session") == 0) {
-      if (!selectEngine(EngineSel::Interp, Arg))
-        return 2;
+      }
+      Engine = Sel;
+      EngineFlag = Arg;
     } else if (std::strcmp(Arg, "--help") == 0) {
       printUsage(argv[0]);
       return 0;
