@@ -20,16 +20,13 @@
 /// socket into a FleetServer in the same process (server setup and the
 /// Hello handshake stay outside the timed region), so the row pair
 /// prices the serialization + syscall overhead of the service path
-/// against the shared-memory fan-in; --batched adds the SoA lockstep
-/// engine
-/// as a second mode axis, printing batched vs per-session rows at every
-/// configuration (the batched row's speedup column is relative to the
-/// per-session row at the same shard/producer count — on a 1-core box
-/// this isolates the dispatch-amortization win from parallelism).
-/// --native adds the compiled tier the same way: every shard runs the
-/// dlopen()ed monitor, built once per workload outside the timed
-/// region. Native lanes cannot migrate, so its rows measure the
-/// compiled tier under pinned sessions (steals are inert).
+/// against the shared-memory fan-in; --native adds the compiled tier as
+/// a second mode axis, printing native vs per-session rows at every
+/// configuration (the native row's speedup column is relative to the
+/// per-session row at the same shard/producer count). Every native
+/// shard runs the dlopen()ed monitor, built once per workload outside
+/// the timed region. Native lanes cannot migrate, so its rows measure
+/// the compiled tier under pinned sessions (steals are inert).
 /// TESSLA_BENCH_SCALE scales events per session, TESSLA_BENCH_SESSIONS
 /// overrides the session count (default 64), TESSLA_BENCH_REPS the
 /// median repetition count.
@@ -283,7 +280,6 @@ int main(int argc, char **argv) {
   std::vector<unsigned> ShardCounts = {1, 2, 4, 8};
   std::vector<unsigned> ProducerCounts = {1};
   size_t Chunk = 64;
-  bool Batched = false;
   bool Native = false;
   // Ingestion carriers to sweep: false = in-process ProducerHandle,
   // true = wire frames over a Unix-domain socket into a FleetServer.
@@ -309,8 +305,6 @@ int main(int argc, char **argv) {
       ProducerCounts = parseList(argv[++I]);
     else if (std::strcmp(argv[I], "--sessions") == 0 && I + 1 < argc)
       Sessions = std::max(1, std::atoi(argv[++I]));
-    else if (std::strcmp(argv[I], "--batched") == 0)
-      Batched = true;
     else if (std::strcmp(argv[I], "--native") == 0)
       Native = true;
     else if (std::strcmp(argv[I], "--chunk") == 0 && I + 1 < argc)
@@ -325,17 +319,14 @@ int main(int argc, char **argv) {
       std::fprintf(stderr,
                    "usage: %s [--shards 1,2,4,8] [--producers 1,2] "
                    "[--sessions N] [--chunk N] "
-                   "[--transport=inproc|socket|both] [--batched] "
-                   "[--native]\n",
+                   "[--transport=inproc|socket|both] [--native]\n",
                    argv[0]);
       return 2;
     }
   }
-  // Per-session first so each batched/native row can report its speedup
-  // over the per-session run at the same configuration.
+  // Per-session first so each native row can report its speedup over
+  // the per-session run at the same configuration.
   std::vector<FleetMode> Modes = {FleetMode::PerSession};
-  if (Batched)
-    Modes.push_back(FleetMode::Batched);
   if (Native)
     Modes.push_back(FleetMode::Native);
 
@@ -407,18 +398,13 @@ int main(int argc, char **argv) {
               std::fprintf(stderr,
                            "%s/%s output count diverged at the same "
                            "configuration!\n",
-                           Mode == FleetMode::Batched     ? "batched"
-                           : Mode == FleetMode::Native    ? "native"
-                                                          : "per-sess",
+                           Mode == FleetMode::Native ? "native" : "per-sess",
                            OverSocket ? "socket" : "inproc");
               return 1;
             }
             std::printf(
                 "%-10s %-9s %-9s %8u %10u %10zu %10.4f %12.3f %8.2fx\n",
-                W.Label,
-                Mode == FleetMode::Batched     ? "batched"
-                : Mode == FleetMode::Native    ? "native"
-                                               : "per-sess",
+                W.Label, Mode == FleetMode::Native ? "native" : "per-sess",
                 OverSocket ? "socket" : "inproc", Shards, Producers,
                 W.TotalEvents, Seconds,
                 static_cast<double>(W.TotalEvents) / Seconds / 1e6,

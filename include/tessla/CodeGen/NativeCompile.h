@@ -47,9 +47,8 @@
 ///
 /// The native engine does not implement extractLane()/insertLane():
 /// monitor state lives inside the shared object behind an opaque
-/// instance pointer, so supportsMigration() is false, the fleet's work
-/// stealing is inert for native shards, and FleetMode::Auto never
-/// switches into (or out of) the native tier. Everything else of the
+/// instance pointer, so supportsMigration() is false and the fleet's
+/// work stealing is inert for native shards. Everything else of the
 /// ShardEngine contract — feed validation order, error texts, output
 /// bytes, output counting without a handler — is byte-identical to
 /// Monitor; the host side re-runs Monitor::feed's checks before

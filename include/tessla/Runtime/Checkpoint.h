@@ -30,8 +30,10 @@
 ///         (informational), u64 lane count
 ///   LANE  the lane snapshots: per lane the full EngineLaneState —
 ///         session id, cursor/flags/counters, slot values and presence,
-///         last slots, armed delay timers, unconsumed buffered records,
-///         and the outputs recorded before the suspend
+///         last slots, armed delay timers, a retired pending-record
+///         count (always 0: engines apply records eagerly, and the
+///         loader rejects any other value), and the outputs recorded
+///         before the suspend
 ///
 /// Loading is untrusting, exactly like the `.tpb` loader: every read is
 /// bounds-checked, every array length is validated against the Program

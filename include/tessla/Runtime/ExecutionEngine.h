@@ -5,23 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The execution-engine abstraction: one interface over the three ways a
+/// The execution-engine abstraction: one interface over the two ways a
 /// shard (or a sequential tool) can run sessions of a Program —
 ///
 ///   * per-session  — one interpreter Monitor per lane (the reference
 ///                    engine; Runtime/Monitor.h),
-///   * batched      — SoA lockstep sweeps across all lanes
-///                    (Runtime/BatchedMonitor.h),
 ///   * native       — sessions run compiled monitor code loaded from a
 ///                    shared object (CodeGen/NativeCompile.h; the
 ///                    factory is injected so the runtime library never
 ///                    links the code generator).
 ///
-/// All engines are *observationally identical* per session: same outputs
-/// in the same per-session order, same failure points and messages as a
-/// lone Monitor over the same records. The differential corpus
-/// (tests/Integration/BatchedDifferentialTest.cpp) enforces this
-/// three-way.
+/// Both engines are *observationally identical* per session: same
+/// outputs in the same per-session order, same failure points and
+/// messages as a lone Monitor over the same records. The differential
+/// corpus (tests/Integration/EngineDifferentialTest.cpp) enforces this
+/// against the sequential interpreter reference.
+///
+/// Both engines are eager: feed() validates and applies a record before
+/// it returns, so a lane holds no unapplied input between calls.
 ///
 /// ## Lanes and the migration contract
 ///
@@ -29,10 +30,9 @@
 /// engine-local and stable until extractLane() frees them. Engines that
 /// report supportsMigration() implement the fleet's work-stealing
 /// hand-off: extractLane() moves a lane's complete engine state into an
-/// EngineLaneState snapshot and insertLane() revives it — in the *same
-/// or any other* migratable engine over the same Program (per-session ↔
-/// batched hand-offs are exercised by the fleet's Auto heuristic). As
-/// with Monitor hand-off, the transfer must synchronize (release/acquire
+/// EngineLaneState snapshot and insertLane() revives it in a migratable
+/// engine over the same Program, on this or another shard. As with
+/// Monitor hand-off, the transfer must synchronize (release/acquire
 /// happens-before the new owner's first use) and the old owner retains
 /// nothing derived from the lane.
 ///
@@ -56,24 +56,12 @@
 
 namespace tessla {
 
-/// One buffered input record of a lane (not yet validated/applied; the
-/// feed-time checks of Monitor::feed run when the engine consumes it).
-struct EnginePendingRecord {
-  EnginePendingRecord() = default;
-  EnginePendingRecord(StreamId Input_, Time Ts_, Value V_)
-      : Input(Input_), Ts(Ts_), V(std::move(V_)) {}
-  StreamId Input = 0;
-  Time Ts = 0;
-  Value V;
-};
-
 /// A whole lane's engine state, extracted for migration. The snapshot is
 /// engine-agnostic: it carries exactly the state a lone Monitor holds
 /// between feeds (slot values and presence, last slots, armed delay
 /// timers, the pending-timestamp cursor, counters), plus the session
-/// attribution, recorded outputs and any unconsumed buffered records.
-/// Movable across threads under the usual synchronized hand-off
-/// contract.
+/// attribution and recorded outputs. Movable across threads under the
+/// usual synchronized hand-off contract.
 struct EngineLaneState {
   SessionId Session = 0;
   Time PendingTs = 0;
@@ -89,13 +77,10 @@ struct EngineLaneState {
   std::vector<char> LastInit;  // [lastSlots()]
   std::vector<Time> NextTs;    // [delays()]
   std::vector<char> NextTsSet; // [delays()]
-  std::vector<EnginePendingRecord> Queue; // unconsumed buffered records
   std::vector<OutputEvent> Outputs;
 };
 
-/// The shard execution engine interface. Mirrors BatchedMonitor's lane
-/// API, which is the superset: eager engines implement pump() as a no-op
-/// and report lanes as always idle.
+/// The shard execution engine interface.
 class ShardEngine {
 public:
   virtual ~ShardEngine() = default;
@@ -104,13 +89,10 @@ public:
   /// Monitor). Returns the lane index, stable until extractLane().
   virtual unsigned addLane(SessionId Session) = 0;
 
-  /// Feeds one input record into \p Lane. Buffering engines defer the
-  /// Monitor::feed validation to pump(); eager engines apply it here.
-  /// \returns false if the lane already failed or the engine finished.
+  /// Feeds one input record into \p Lane, with Monitor::feed's
+  /// validation. \returns false if the lane already failed or the
+  /// engine finished.
   virtual bool feed(unsigned Lane, StreamId Input, Time Ts, Value V) = 0;
-
-  /// Drains buffered records (no-op for eager engines).
-  virtual void pump() = 0;
 
   /// End of input for every lane (Monitor::finish semantics, shared
   /// \p Horizon).
@@ -121,8 +103,7 @@ public:
   virtual bool supportsMigration() const { return false; }
 
   /// Extracts \p Lane for migration and frees its index for reuse.
-  /// Only idle lanes (laneIdle()) of migratable engines may be
-  /// extracted.
+  /// Only lanes of migratable engines may be extracted.
   virtual EngineLaneState extractLane(unsigned Lane);
   /// Inserts a migrated lane; returns its new lane index.
   virtual unsigned insertLane(EngineLaneState State);
@@ -131,12 +112,12 @@ public:
   /// complete state into a snapshot while the lane stays live. Aggregate
   /// values are shared structurally (O(1) handle copies, sound under the
   /// copy-on-write runtime representation) — this is the fleet's session
-  /// fork primitive. Only idle lanes of migratable engines may be
+  /// fork primitive. Only lanes of migratable engines may be
   /// snapshotted.
   virtual EngineLaneState snapshotLane(unsigned Lane) const;
 
   /// Visits every runtime Value the engine holds across all live lanes
-  /// (slot state, buffered records, recorded outputs) — the fleet's
+  /// (slot state and recorded outputs) — the fleet's
   /// aggregate-memory accounting walk. Engines whose state lives outside
   /// the Value representation (native) keep the no-op default.
   virtual void visitValues(const std::function<void(const Value &)> &) const {
@@ -149,17 +130,10 @@ public:
   /// Accepted input records (the fleet's steal heuristic).
   virtual uint64_t laneInputEvents(unsigned Lane) const = 0;
   virtual uint64_t laneOutputEvents(unsigned Lane) const = 0;
-  /// True when the lane has no unconsumed buffered records.
-  virtual bool laneIdle(unsigned Lane) const = 0;
   /// Moves out the lane's recorded outputs (emission order).
   virtual std::vector<OutputEvent> takeLaneOutputs(unsigned Lane) = 0;
 
-  /// Live lanes.
-  virtual size_t laneCount() const = 0;
-  /// Lockstep sweeps executed (0 for engines that don't sweep).
-  virtual uint64_t sweeps() const { return 0; }
-  /// Short engine name for stats/diagnostics ("per-session", "batched",
-  /// "native").
+  /// Short engine name for stats/diagnostics ("per-session", "native").
   virtual const char *name() const = 0;
 };
 
@@ -173,10 +147,6 @@ using EngineFactory = std::function<std::unique_ptr<ShardEngine>(
 /// One interpreter Monitor per lane — the reference engine. Migratable.
 std::unique_ptr<ShardEngine> makePerSessionEngine(const Program &Prog,
                                                   bool CollectOutputs = true);
-
-/// SoA lockstep BatchedMonitor. Migratable.
-std::unique_ptr<ShardEngine> makeBatchedEngine(const Program &Prog,
-                                               bool CollectOutputs = true);
 
 /// Sequential convenience: replays \p Batch through one lane of
 /// \p Engine (sessions are ignored; the caller picked the engine), then

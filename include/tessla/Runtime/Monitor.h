@@ -96,14 +96,12 @@ public:
   /// Moves the monitor's complete engine state into a migratable lane
   /// snapshot (the fleet's engine-agnostic migration contract,
   /// Runtime/ExecutionEngine.h). Fills only the fields the monitor owns
-  /// — session attribution, buffered records and recorded outputs are
-  /// the surrounding engine's to fill (the monitor is eager and
-  /// unbuffered, so Queue stays empty). The monitor must not be used
-  /// afterwards.
+  /// — session attribution and recorded outputs are the surrounding
+  /// engine's to fill. The monitor must not be used afterwards.
   void extractState(EngineLaneState &Out);
 
-  /// Restores a snapshot produced by extractState() — or by any other
-  /// migratable engine over the same Program — into this freshly
+  /// Restores a snapshot produced by extractState() or snapshotState()
+  /// over the same Program into this freshly
   /// constructed monitor, consuming the snapshot's engine fields.
   void restoreState(EngineLaneState &State);
 

@@ -295,7 +295,6 @@ public:
                                         : nullptr,
                          &D);
     D.Live = true;
-    ++NumLive;
     return L;
   }
 
@@ -329,8 +328,6 @@ public:
     return true;
   }
 
-  void pump() override {} // eager: the shim applies records at feed()
-
   void finishAll(std::optional<Time> Horizon) override {
     for (auto &LanePtr : Lanes) {
       LaneData &D = *LanePtr;
@@ -361,13 +358,11 @@ public:
   uint64_t laneOutputEvents(unsigned Lane) const override {
     return Lib->numOutputs(Lanes[Lane]->Inst);
   }
-  bool laneIdle(unsigned) const override { return true; }
 
   std::vector<OutputEvent> takeLaneOutputs(unsigned Lane) override {
     return std::move(Lanes[Lane]->Outputs);
   }
 
-  size_t laneCount() const override { return NumLive; }
   const char *name() const override { return "native"; }
 
 private:
@@ -396,7 +391,6 @@ private:
   std::unordered_map<std::string, StreamId> OutIdOf;
   std::vector<std::unique_ptr<LaneData>> Lanes;
   std::vector<unsigned> FreeLanes;
-  size_t NumLive = 0;
   bool EngineFinished = false;
 
   static void onOutput(void *Ctx, int64_t Ts, const char *Stream,

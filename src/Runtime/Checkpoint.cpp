@@ -62,12 +62,10 @@ void writeLane(ByteWriter &W, const EngineLaneState &L,
   for (char P : L.NextTsSet)
     W.u8(P ? 1 : 0);
 
-  W.u32(static_cast<uint32_t>(L.Queue.size()));
-  for (const EnginePendingRecord &R : L.Queue) {
-    W.u32(R.Input);
-    W.i64(R.Ts);
-    bc::writeValue(W, R.V, &Share);
-  }
+  // The retired pending-record block: engines apply records eagerly,
+  // so a lane never carries unapplied input. Kept as a zero count so the
+  // v2 layout is unchanged.
+  W.u32(0);
 
   W.u32(static_cast<uint32_t>(L.Outputs.size()));
   for (const OutputEvent &E : L.Outputs) {
@@ -142,21 +140,12 @@ bool readLane(ByteReader &R, DecodeContext &Ctx, const Program &P,
   if (R.failed())
     return fail("truncated delay table");
 
-  uint32_t NQueue = R.u32();
-  if (R.failed() || NQueue > R.remaining())
-    return fail("queued-record count exceeds the remaining payload");
-  L.Queue.reserve(NQueue);
-  for (uint32_t I = 0; I != NQueue && Ctx.Ok && !R.failed(); ++I) {
-    EnginePendingRecord Rec;
-    Rec.Input = R.u32();
-    Rec.Ts = R.i64();
-    Rec.V = bc::readValue(R, Ctx, 0, &Share);
-    if (Rec.Input >= NumStreams)
-      return fail("queued record references a stream out of range");
-    L.Queue.push_back(std::move(Rec));
-  }
-  if (!Ctx.Ok || R.failed())
-    return fail("truncated queued records");
+  uint32_t NPending = R.u32();
+  if (R.failed())
+    return fail("truncated pending-record count");
+  if (NPending != 0)
+    return fail("non-zero pending-record count (the block is retired; "
+                "no engine writes pending records)");
 
   uint32_t NOut = R.u32();
   if (R.failed() || NOut > R.remaining())

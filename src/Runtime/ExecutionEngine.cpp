@@ -6,8 +6,6 @@
 
 #include "tessla/Runtime/ExecutionEngine.h"
 
-#include "tessla/Runtime/BatchedMonitor.h"
-
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -40,9 +38,8 @@ EngineLaneState ShardEngine::snapshotLane(unsigned) const {
 
 namespace {
 
-/// The reference engine: one interpreter Monitor per lane. Eager —
-/// records are validated and applied at feed() time, so pump() is a
-/// no-op and lanes are always idle.
+/// The reference engine: one interpreter Monitor per lane. Records are
+/// validated and applied at feed() time.
 class PerSessionShardEngine final : public ShardEngine {
 public:
   PerSessionShardEngine(const Program &Prog, bool CollectOutputs)
@@ -58,8 +55,6 @@ public:
   bool feed(unsigned Lane, StreamId Input, Time Ts, Value V) override {
     return Lanes[Lane].M->feed(Input, Ts, std::move(V));
   }
-
-  void pump() override {}
 
   void finishAll(std::optional<Time> Horizon) override {
     for (LaneSlot &Slot : Lanes)
@@ -79,7 +74,6 @@ public:
     Slot.M.reset();
     Slot.Outputs.reset();
     Slot.Live = false;
-    --NumLive;
     FreeLanes.push_back(Lane);
     return S;
   }
@@ -112,12 +106,6 @@ public:
     Slot.M->restoreState(S);
     *Slot.Outputs = std::move(S.Outputs);
     attachHandler(L);
-    // A buffering engine may hand over unconsumed records; this engine
-    // is eager, so apply them now — feed() runs the same validation the
-    // donor had merely deferred.
-    for (EnginePendingRecord &R : S.Queue)
-      if (!Slot.M->feed(R.Input, R.Ts, std::move(R.V)))
-        break;
     return L;
   }
 
@@ -136,13 +124,11 @@ public:
   uint64_t laneOutputEvents(unsigned Lane) const override {
     return Lanes[Lane].M->outputEvents();
   }
-  bool laneIdle(unsigned) const override { return true; }
 
   std::vector<OutputEvent> takeLaneOutputs(unsigned Lane) override {
     return std::move(*Lanes[Lane].Outputs);
   }
 
-  size_t laneCount() const override { return NumLive; }
   const char *name() const override { return "per-session"; }
 
 private:
@@ -159,7 +145,6 @@ private:
   const bool CollectOutputs;
   std::vector<LaneSlot> Lanes;
   std::vector<unsigned> FreeLanes;
-  size_t NumLive = 0;
 
   unsigned allocLane(SessionId Session) {
     unsigned L;
@@ -173,7 +158,6 @@ private:
     Lanes[L].Session = Session;
     Lanes[L].Live = true;
     Lanes[L].Outputs = std::make_unique<std::vector<OutputEvent>>();
-    ++NumLive;
     return L;
   }
 
@@ -194,11 +178,6 @@ private:
 std::unique_ptr<ShardEngine> tessla::makePerSessionEngine(const Program &Prog,
                                                           bool CollectOutputs) {
   return std::make_unique<PerSessionShardEngine>(Prog, CollectOutputs);
-}
-
-std::unique_ptr<ShardEngine> tessla::makeBatchedEngine(const Program &Prog,
-                                                       bool CollectOutputs) {
-  return std::make_unique<BatchedMonitor>(Prog, CollectOutputs);
 }
 
 std::vector<OutputEvent> tessla::runEngineSingle(ShardEngine &Engine,

@@ -59,7 +59,7 @@ std::string sequentialReference(const Program &Plan,
   return Out;
 }
 
-/// Migration-hostile shape (same as BatchedDifferentialTest): sessions
+/// Migration-hostile shape (same as EngineDifferentialTest): sessions
 /// pin to shard 0, idle peers steal, tiny batches and rings.
 FleetOptions hostileOptions(unsigned Shards) {
   FleetOptions Opts;

@@ -59,7 +59,7 @@ std::string readFile(const std::string &Path) {
 }
 
 // The native tier loads uninstrumented code; keep it off the TSan axis
-// (see BatchedDifferentialTest.cpp for the rationale).
+// (see EngineDifferentialTest.cpp for the rationale).
 #if defined(__SANITIZE_THREAD__)
 #define TESSLA_TSAN 1
 #elif defined(__has_feature)

@@ -12,7 +12,7 @@
 /// representation keeps the two lanes from observing each other's later
 /// updates. Proven differentially over a randomized corpus (queue and
 /// map builtins, delay streams on every third seed; both mutability
-/// modes; -O0 and -O1) on the per-session and batched engines under the
+/// modes; -O0 and -O1) on the per-session engine under the
 /// migration-hostile fleet shape, so forked lanes are also stolen
 /// across shards mid-run. The corpus size and seed are env-overridable
 /// (TESSLA_CORPUS_SPECS / TESSLA_CORPUS_SEED).
@@ -79,7 +79,7 @@ std::string sequentialReference(const Program &Plan,
   return Out;
 }
 
-/// Migration-hostile shape (same as BatchedDifferentialTest): sessions
+/// Migration-hostile shape (same as EngineDifferentialTest): sessions
 /// pin to shard 0, idle peers steal, tiny batches and rings.
 FleetOptions hostileOptions(FleetMode Mode) {
   FleetOptions Opts;
@@ -135,11 +135,10 @@ interleave(const Spec &S, const std::vector<SessionId> &Sessions,
 /// outputs, or nullopt (with a test failure recorded) on any stage
 /// error.
 std::optional<std::string>
-forkedRun(const Program &Plan, FleetMode Mode,
-          const std::vector<CorpusRecord> &Records, size_t SplitAt,
-          SessionId Src, SessionId Dst, uint64_t *StealsOut) {
-  MonitorFleet Fleet(Plan, hostileOptions(Mode));
-  EXPECT_EQ(Fleet.mode(), Mode);
+forkedRun(const Program &Plan, const std::vector<CorpusRecord> &Records,
+          size_t SplitAt, SessionId Src, SessionId Dst,
+          uint64_t *StealsOut) {
+  MonitorFleet Fleet(Plan, hostileOptions(FleetMode::PerSession));
   {
     ProducerHandle P = Fleet.producer();
     for (size_t I = 0; I != SplitAt; ++I) {
@@ -182,7 +181,7 @@ forkedRun(const Program &Plan, FleetMode Mode,
 } // namespace
 
 // The acceptance property: random specs x {baseline, optimized} x
-// -O0/-O1 x {per-session, batched}, each forked at a mid-stream point;
+// -O0/-O1 on the per-session engine, each forked at a mid-stream point;
 // the forked run must be byte-identical to the sequential reference in
 // which the fork destination is an independent session fed the source's
 // full trace. Guards vacuity: outputs nonempty, steals happened on the
@@ -220,28 +219,23 @@ TEST(ForkDifferentialTest, ForkEqualsReplayAcrossEnginesAndOptLevels) {
       if (R.Session == Src)
         WithDst.push_back({Dst, R.Input, R.Ts, R.V});
 
-    for (Config Cfg : {Config{Seed % 2 == 0, 0}, Config{Seed % 2 == 0, 1}})
-      for (FleetMode Mode : {FleetMode::PerSession, FleetMode::Batched}) {
-        Program Plan = compileOrDie(S, Cfg.Optimize, Cfg.OptLevel);
-        std::string Reference = sequentialReference(Plan, WithDst);
-        auto Forked =
-            forkedRun(Plan, Mode, Records, SplitAt, Src, Dst, &Steals);
-        if (!Forked)
-          return;
-        if (*Forked != Reference) {
-          ADD_FAILURE()
-              << "forked run diverged from the replay reference (seed "
-              << Seed << ", "
-              << (Cfg.Optimize ? "optimized" : "baseline") << ", -O"
-              << Cfg.OptLevel << ", "
-              << (Mode == FleetMode::Batched ? "batched" : "per-session")
-              << ", split at " << SplitAt << "/" << Records.size()
-              << ")\n"
-              << S.str();
-          return; // one diverging seed beats the whole sweep
-        }
-        OutputBytes += Reference.size();
+    for (Config Cfg : {Config{Seed % 2 == 0, 0}, Config{Seed % 2 == 0, 1}}) {
+      Program Plan = compileOrDie(S, Cfg.Optimize, Cfg.OptLevel);
+      std::string Reference = sequentialReference(Plan, WithDst);
+      auto Forked = forkedRun(Plan, Records, SplitAt, Src, Dst, &Steals);
+      if (!Forked)
+        return;
+      if (*Forked != Reference) {
+        ADD_FAILURE() << "forked run diverged from the replay reference "
+                      << "(seed " << Seed << ", "
+                      << (Cfg.Optimize ? "optimized" : "baseline") << ", -O"
+                      << Cfg.OptLevel << ", split at " << SplitAt << "/"
+                      << Records.size() << ")\n"
+                      << S.str();
+        return; // one diverging seed beats the whole sweep
       }
+      OutputBytes += Reference.size();
+    }
   }
   EXPECT_GT(OutputBytes, 0u) << "vacuous comparison";
   EXPECT_GT(Steals, 0u)

@@ -7,7 +7,7 @@
 /// Failure paths and lifecycle of the native execution tier
 /// (CodeGen/NativeCompile.h). The happy path — byte-identity against the
 /// interpreter over a randomized corpus — lives in
-/// BatchedDifferentialTest and CodegenParityTest; this file proves the
+/// EngineDifferentialTest and CodegenParityTest; this file proves the
 /// edges the corpus cannot reach: a missing or broken system compiler
 /// degrades to a diagnostic (never a crash), a stale or foreign cache
 /// entry is rebuilt rather than trusted, the fleet falls back to the

@@ -84,8 +84,9 @@ out m
       Nil = Id;
   EXPECT_EQ(P.valueSlot(Nil), P.numValueSlots());
   for (const ProgramStep &Step : P.steps())
-    if (Step.Op != Opcode::Skip)
+    if (Step.Op != Opcode::Skip) {
       EXPECT_NE(Step.Dst, P.numValueSlots());
+    }
 }
 
 TEST(ProgramTest, DispatchIsPreResolved) {

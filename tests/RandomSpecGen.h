@@ -402,7 +402,7 @@ inline std::string minimizeAndReport(const Spec &Original,
   const char *Tmp = std::getenv("TMPDIR");
   std::string Dir = Tmp && *Tmp ? Tmp : "/tmp";
   std::string Stem =
-      Dir + "/batched_corpus_seed" + std::to_string(Info.Seed);
+      Dir + "/engine_corpus_seed" + std::to_string(Info.Seed);
   std::string SpecPath = Stem + ".tessla";
   std::ofstream(SpecPath) << printSpecSource(S);
 
@@ -427,9 +427,9 @@ inline std::string minimizeAndReport(const Spec &Original,
     std::ofstream(TracePath) << renderTrace(Of);
     Report << "repro (session " << Session << "; diff the two engines):\n"
            << "  tesslac " << SpecPath << " " << OptFlag << BaseFlag
-           << " --run " << TracePath << " --fleet 4 --engine=batched\n"
+           << " --run " << TracePath << " --fleet 4 --engine=interp\n"
            << "  tesslac " << SpecPath << " " << OptFlag << BaseFlag
-           << " --run " << TracePath << " --fleet 4 --engine=interp\n";
+           << " --run " << TracePath << " --fleet 4 --engine=native\n";
   }
   if (Sessions.size() > 1)
     Report << "note: " << Sessions.size()

@@ -346,6 +346,31 @@ TEST(CheckpointTest, ProgramChecksumMismatchIsRejected) {
             std::string::npos);
 }
 
+TEST(CheckpointTest, NonZeroPendingRecordCountIsRejected) {
+  // Each lane carries a retired pending-record count that the writer
+  // always sets to 0 (engines apply records eagerly). A file is outside
+  // input, so the loader still checks it. Clearing the last lane's
+  // outputs puts that count right before the closing zero output count.
+  Program P = workloadProgram();
+  DiagnosticEngine Diags;
+  auto C = loadCheckpoint(workloadCheckpoint(P), P, Diags);
+  ASSERT_TRUE(C) << Diags.str();
+  ASSERT_FALSE(C->Lanes.empty());
+  C->Lanes.back().Outputs.clear();
+  std::vector<uint8_t> Bytes = serializeCheckpoint(*C);
+  DiagnosticEngine CleanDiags;
+  ASSERT_TRUE(loadCheckpoint(Bytes, P, CleanDiags)) << CleanDiags.str();
+  const size_t CountOff = Bytes.size() - 8;
+  for (size_t I = CountOff; I != Bytes.size(); ++I)
+    ASSERT_EQ(Bytes[I], 0u) << "offset " << I;
+  patchU32(Bytes, CountOff, 1);
+  restamp(Bytes);
+  std::string Err = expectLoadFails(Bytes, P);
+  EXPECT_NE(Err.find("tcp:"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("non-zero pending-record count"), std::string::npos)
+      << Err;
+}
+
 TEST(CheckpointTest, ChecksumDetectsPayloadCorruption) {
   Program P = workloadProgram();
   std::vector<uint8_t> Bytes = workloadCheckpoint(P);

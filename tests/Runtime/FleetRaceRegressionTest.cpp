@@ -105,14 +105,11 @@ TEST(FleetRaceRegressionTest, NoForwardedRecordLostAtShutdown) {
 
   uint64_t Steals = 0;
   for (unsigned Round = 0; Round != 30; ++Round) {
-    FleetMode Mode =
-        Round % 2 ? FleetMode::PerSession : FleetMode::Batched;
     FleetOptions Opts;
     Opts.Shards = 4;
     Opts.BatchSize = 2;     // many small batches: forwards stay in flight
     Opts.QueueCapacity = 4;
     Opts.StealBacklog = 1;  // hair trigger: steal on any backlog
-    Opts.Mode = Mode;
     MonitorFleet Fleet(Plan, Opts);
     {
       ProducerHandle P = Fleet.producer();
@@ -156,13 +153,10 @@ TEST(FleetRaceRegressionTest, CrossProducerHandOffKeepsSessionOrder) {
   ASSERT_FALSE(Reference.empty()) << "vacuous comparison";
 
   for (unsigned Round = 0; Round != 20; ++Round) {
-    FleetMode Mode =
-        Round % 2 ? FleetMode::PerSession : FleetMode::Batched;
     FleetOptions Opts;
     Opts.Shards = 1 + Round % 4;
     Opts.BatchSize = 1; // one record per sequenced batch
     Opts.QueueCapacity = 4;
-    Opts.Mode = Mode;
     MonitorFleet Fleet(Plan, Opts);
     {
       ProducerHandle A = Fleet.producer();

@@ -170,8 +170,9 @@ TEST(FleetServiceTest, SnapshotRestoreOverTheWire) {
     auto Prod = RemoteA->producer(&Err);
     ASSERT_TRUE(Prod) << Err;
     for (const Rec &R : Recs)
-      if (R.Ts <= SplitTs)
+      if (R.Ts <= SplitTs) {
         ASSERT_TRUE(Prod->feed(R.Session, X, R.Ts, Value::integer(R.V)));
+      }
     ASSERT_TRUE(Prod->close()) << Prod->error();
   }
   auto Bytes = RemoteA->snapshot(&Err);
@@ -184,8 +185,9 @@ TEST(FleetServiceTest, SnapshotRestoreOverTheWire) {
     auto Prod = RemoteA->producer(&Err);
     ASSERT_TRUE(Prod) << Err;
     for (const Rec &R : Recs)
-      if (R.Ts > SplitTs)
+      if (R.Ts > SplitTs) {
         ASSERT_TRUE(Prod->feed(R.Session, X, R.Ts, Value::integer(R.V)));
+      }
     ASSERT_TRUE(Prod->close()) << Prod->error();
   }
   auto FinishA = RemoteA->finish(&Err);
@@ -207,8 +209,9 @@ TEST(FleetServiceTest, SnapshotRestoreOverTheWire) {
     auto Prod = RemoteB->producer(&Err);
     ASSERT_TRUE(Prod) << Err;
     for (const Rec &R : Recs)
-      if (R.Ts > SplitTs)
+      if (R.Ts > SplitTs) {
         ASSERT_TRUE(Prod->feed(R.Session, X, R.Ts, Value::integer(R.V)));
+      }
     ASSERT_TRUE(Prod->close()) << Prod->error();
   }
   auto FinishB = RemoteB->finish(&Err);
@@ -387,8 +390,9 @@ TEST(FleetServiceTest, GarbageBytesPoisonTheConnection) {
   FrameDecoder Dec;
   std::string Err;
   auto Frame = recvFrame(*Conn, Dec, Err);
-  if (Frame)
+  if (Frame) {
     EXPECT_EQ(Frame->Type, FrameType::Error);
+  }
   uint8_t Byte;
   EXPECT_LE(Conn->recv(&Byte, 1), 0);
   Conn->close();
@@ -438,8 +442,9 @@ std::string runForkWorkload(FleetClient &Client, const Spec &S, StreamId X,
     if (!Prod)
       return std::string();
     for (const Rec &R : Recs)
-      if (R.Session == 1 && R.Ts <= SplitTs)
+      if (R.Session == 1 && R.Ts <= SplitTs) {
         EXPECT_TRUE(Prod->feed(R.Session, X, R.Ts, Value::integer(R.V)));
+      }
     EXPECT_TRUE(Prod->close()) << Prod->error();
   }
   EXPECT_TRUE(Client.forkSession(1, 9, &Err)) << Err;

@@ -210,6 +210,13 @@ TEST(MonitorFleetTest, StatsAccountForEveryEventAndSession) {
   EXPECT_GT(Batches, 0u);
   EXPECT_GE(HighWater, 1u);
   EXPECT_NE(Stats.str().find("shard 3"), std::string::npos);
+  // The stats line names each shard's engine for operators; the retired
+  // `sweeps=` key stays in the append-only schema, always 0.
+  for (const ShardStats &Sh : Stats.Shards) {
+    EXPECT_EQ(Sh.Engine, "per-session");
+    EXPECT_NE(Sh.str().find("engine=per-session "), std::string::npos);
+    EXPECT_NE(Sh.str().find(" sweeps=0 "), std::string::npos);
+  }
 }
 
 TEST(MonitorFleetTest, SessionFailureIsIsolated) {
@@ -273,72 +280,4 @@ TEST(MonitorFleetTest, SessionPinningIsStable) {
   EXPECT_EQ(Histogram.size(), 8u);
   for (const auto &[Shard, N] : Histogram)
     EXPECT_GT(N, 60u) << "shard " << Shard << " is starved";
-}
-
-// FleetMode::Auto observes each shard's arrival pattern over a fixed
-// record prefix and re-decides the engine at a batch boundary: chunky
-// whole-trace replay (long same-session runs) migrates every lane into
-// a per-session engine; interleaved live traffic stays batched. The
-// verdict is a pure function of the shard's record sequence, so with a
-// single shard (no steals, no cross-shard routing) the switch-over is
-// exactly reproducible — and the outputs must stay byte-identical to
-// the sequential reference through the mid-run engine migration.
-TEST(MonitorFleetTest, AutoEngineSwitchOverIsDeterministic) {
-  Spec S = seenSet();
-  StreamId X = *S.lookup("x");
-  CompiledSpec C(S, /*Optimize=*/true);
-  SessionTraces Traces;
-  for (SessionId Session = 0; Session != 4; ++Session)
-    Traces[Session] = tracegen::randomInts(X, 80, 20, 900 + Session);
-  std::string Reference = sequentialReference(C.Plan, Traces);
-
-  auto autoRun = [&](bool Chunky) {
-    FleetOptions Opts;
-    Opts.Shards = 1; // one shard: the verdict sees every record
-    Opts.Mode = FleetMode::Auto;
-    Opts.AutoObservationRecords = 64; // decide well before the 320 records end
-    Opts.AutoChunkThreshold = 8.0;
-    MonitorFleet Fleet(C.Plan, Opts);
-    ProducerHandle P = Fleet.producer();
-    if (Chunky) {
-      for (const auto &[Session, Events] : Traces)
-        for (const auto &[Id, Ts, V] : Events)
-          EXPECT_TRUE(P.feed(Session, Id, Ts, V));
-    } else {
-      for (size_t I = 0; I != 80; ++I) // round-robin: runs of length 1
-        for (const auto &[Session, Events] : Traces) {
-          const auto &[Id, Ts, V] = Events[I];
-          EXPECT_TRUE(P.feed(Session, Id, Ts, V));
-        }
-    }
-    P.close();
-    Fleet.finish();
-    EXPECT_FALSE(Fleet.failed());
-    FleetStats Stats = Fleet.stats();
-    EXPECT_EQ(Stats.Shards.size(), 1u);
-    std::map<SessionId, std::vector<std::string>> Lines;
-    for (const SessionOutputEvent &E : Fleet.takeOutputs())
-      Lines[E.Session].push_back(renderLine(C.Plan.spec(), E.Session, E.Event));
-    std::string Out;
-    for (const auto &[Session, L] : Lines)
-      for (const std::string &Line : L)
-        Out += Line;
-    EXPECT_EQ(Out, Reference) << (Chunky ? "chunky" : "interleaved");
-    return Stats.Shards[0].Engine;
-  };
-
-  // Whole traces back to back: mean run length 80 >= 8 -> per-session.
-  EXPECT_EQ(autoRun(/*Chunky=*/true), "per-session");
-  // Strict round-robin: mean run length 1 < 8 -> stays batched.
-  EXPECT_EQ(autoRun(/*Chunky=*/false), "batched");
-  // The stats line carries the verdict for operators.
-  FleetOptions Opts;
-  Opts.Shards = 1;
-  Opts.Mode = FleetMode::Auto;
-  MonitorFleet Fleet(C.Plan, Opts);
-  ProducerHandle P = Fleet.producer();
-  P.feed(0, X, 1, Value::integer(1));
-  P.close();
-  Fleet.finish();
-  EXPECT_NE(Fleet.stats().str().find("engine="), std::string::npos);
 }

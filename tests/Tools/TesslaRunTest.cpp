@@ -124,12 +124,11 @@ TEST(TesslaRunTest, FleetReplayParity) {
 
 TEST(TesslaRunTest, FleetEngineFlagsParity) {
   // The execution-engine flags ride the bundle path too: a loaded
-  // Program must replay byte-identically under both engines.
+  // Program must replay byte-identically.
   std::string Trace = tempPath("run_fleet_engine_trace.txt");
   writeFile(Trace, intTrace("x", 20));
-  for (const char *Engine : {"--engine=batched", "--engine=interp"})
-    expectBundleParity(specsDir() + "/seen_set.tessla", Trace,
-                       std::string("--fleet 2 --sessions 4 ") + Engine);
+  expectBundleParity(specsDir() + "/seen_set.tessla", Trace,
+                     "--fleet 2 --sessions 4 --engine=interp");
 }
 
 TEST(TesslaRunTest, PlanPrintsLoadedProgram) {
@@ -224,13 +223,11 @@ TEST(TesslaRunTest, EngineAliasesAndConflictsMatchTesslac) {
                           " --trace " + Trace);
   ASSERT_EQ(RcRef, 0);
   ASSERT_FALSE(Ref.empty()) << "vacuous comparison";
-  // Every --engine= selection agrees with the default.
-  for (const char *Engine : {" --engine=interp", " --engine=batched"}) {
-    auto [Rc, Out] = run(std::string(TESSLA_RUN_PATH) + " " + Bundle +
-                         " --trace " + Trace + Engine);
-    EXPECT_EQ(Rc, 0) << Engine;
-    EXPECT_EQ(Out, Ref) << Engine;
-  }
+  // The explicit interpreter selection agrees with the default.
+  auto [Rc, Out] = run(std::string(TESSLA_RUN_PATH) + " " + Bundle +
+                       " --trace " + Trace + " --engine=interp");
+  EXPECT_EQ(Rc, 0);
+  EXPECT_EQ(Out, Ref);
   // Disagreeing selections are rejected, same wording as tesslac.
   std::string Err;
   auto [RcConflict, OutConflict] =
@@ -242,6 +239,20 @@ TEST(TesslaRunTest, EngineAliasesAndConflictsMatchTesslac) {
                      "'--engine=native'"),
             std::string::npos)
       << Err;
+  // Unknown engines die with usage, same wording as tesslac. The batched
+  // lockstep engine is gone, so its old name is unknown too.
+  for (const char *Name : {"warp", "batched"}) {
+    Err.clear();
+    auto [RcBad, OutBad] =
+        run(std::string(TESSLA_RUN_PATH) + " " + Bundle + " --trace " +
+                Trace + " --engine=" + Name,
+            &Err);
+    EXPECT_NE(RcBad, 0) << Name;
+    EXPECT_NE(Err.find(std::string("unknown engine '") + Name + "'"),
+              std::string::npos)
+        << Err;
+    EXPECT_NE(Err.find("--engine=interp|native"), std::string::npos) << Err;
+  }
 }
 
 TEST(TesslaRunTest, ServeConnectCheckpointMigration) {

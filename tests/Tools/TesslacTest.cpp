@@ -198,8 +198,8 @@ TEST(TesslacTest, FleetReplayMatchesSequentialPerSession) {
 }
 
 TEST(TesslacTest, FleetEngineFlagsAreByteIdentical) {
-  // --engine=batched (the default via Auto) and --engine=interp must
-  // both be accepted and produce byte-identical replay output.
+  // --engine=interp (the default) must be accepted and produce
+  // byte-identical replay output.
   std::string TracePath = tempPath("seen_trace_engine.txt");
   writeFile(TracePath, "1: x = 5\n2: x = 5\n3: x = 6\n4: x = 5\n");
   std::string Base =
@@ -207,11 +207,9 @@ TEST(TesslacTest, FleetEngineFlagsAreByteIdentical) {
   auto [RcDefault, OutDefault] = runTool(Base);
   ASSERT_EQ(RcDefault, 0);
   ASSERT_FALSE(OutDefault.empty()) << "vacuous comparison";
-  for (const char *Engine : {" --engine=batched", " --engine=interp"}) {
-    auto [Rc, Out] = runTool(Base + Engine);
-    EXPECT_EQ(Rc, 0) << Engine;
-    EXPECT_EQ(Out, OutDefault) << Engine;
-  }
+  auto [Rc, Out] = runTool(Base + " --engine=interp");
+  EXPECT_EQ(Rc, 0);
+  EXPECT_EQ(Out, OutDefault);
 }
 
 TEST(TesslacTest, OptimizedPlanShowsFusedSteps) {
@@ -369,8 +367,7 @@ TEST(TesslacTest, EngineFlagUnifiesSelection) {
   auto [RcSeq, OutSeq] = runTool(Seq);
   ASSERT_EQ(RcSeq, 0);
   ASSERT_FALSE(OutSeq.empty()) << "vacuous comparison";
-  for (const char *Engine :
-       {" --engine=interp", " --engine=batched", " --engine=native"}) {
+  for (const char *Engine : {" --engine=interp", " --engine=native"}) {
     auto [Rc, Out] = runTool(Seq + Engine);
     EXPECT_EQ(Rc, 0) << Engine;
     EXPECT_EQ(Out, OutSeq) << Engine;
@@ -378,8 +375,7 @@ TEST(TesslacTest, EngineFlagUnifiesSelection) {
   std::string Fleet = Seq + " --fleet 2 --sessions 3";
   auto [RcFleet, OutFleet] = runTool(Fleet);
   ASSERT_EQ(RcFleet, 0);
-  for (const char *Engine :
-       {" --engine=interp", " --engine=batched", " --engine=native"}) {
+  for (const char *Engine : {" --engine=interp", " --engine=native"}) {
     auto [Rc, Out] = runTool(Fleet + Engine);
     EXPECT_EQ(Rc, 0) << Engine;
     EXPECT_EQ(Out, OutFleet) << Engine;
@@ -392,24 +388,31 @@ TEST(TesslacTest, ConflictingEngineSelectionsRejected) {
   std::string Err;
   auto [Rc, Out] = runTool(
       specFile() + " --run " + TracePath +
-          " --engine=batched --engine=native",
+          " --engine=interp --engine=native",
       &Err);
   EXPECT_NE(Rc, 0);
-  EXPECT_NE(Err.find("conflicting engine selections '--engine=batched' and "
+  EXPECT_NE(Err.find("conflicting engine selections '--engine=interp' and "
                      "'--engine=native'"),
             std::string::npos)
       << Err;
   // Agreeing selections are not a conflict.
   auto [RcAgree, OutAgree] = runTool(
       specFile() + " --run " + TracePath +
-      " --engine=batched --engine=batched");
+      " --engine=interp --engine=interp");
   EXPECT_EQ(RcAgree, 0);
-  // Unknown engines die with usage, not a silent default.
-  Err.clear();
-  auto [RcBad, OutBad] = runTool(
-      specFile() + " --run " + TracePath + " --engine=warp", &Err);
-  EXPECT_NE(RcBad, 0);
-  EXPECT_NE(Err.find("unknown engine 'warp'"), std::string::npos) << Err;
+  // Unknown engines die with usage, not a silent default. The batched
+  // lockstep engine is gone, so its old name is unknown too.
+  for (const char *Name : {"warp", "batched"}) {
+    Err.clear();
+    auto [RcBad, OutBad] = runTool(specFile() + " --run " + TracePath +
+                                       " --engine=" + Name,
+                                   &Err);
+    EXPECT_NE(RcBad, 0) << Name;
+    EXPECT_NE(Err.find(std::string("unknown engine '") + Name + "'"),
+              std::string::npos)
+        << Err;
+    EXPECT_NE(Err.find("--engine=interp|native"), std::string::npos) << Err;
+  }
   // --engine= is the only spelling.
   Err.clear();
   auto [RcOld, OutOld] =

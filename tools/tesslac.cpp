@@ -95,26 +95,22 @@ void printUsage(const char *Argv0) {
       "  --producers <p>                   fleet producer threads; the\n"
       "                                    sessions are partitioned over\n"
       "                                    them (default 1)\n"
-      "  --engine=interp|batched|native    execution engine for\n"
+      "  --engine=interp|native            execution engine for\n"
       "                                    --emit=run: one interpreter\n"
-      "                                    Monitor per session, SoA\n"
-      "                                    lockstep lanes, or the\n"
-      "                                    compiled native tier\n"
-      "                                    (CppEmitter -> system compiler\n"
-      "                                    -> dlopen; falls back to the\n"
-      "                                    interpreter when no compiler\n"
-      "                                    is available). Outputs are\n"
-      "                                    byte-identical across engines.\n"
-      "                                    Default: batched with an\n"
-      "                                    arrival-pattern heuristic\n"
-      "                                    (fleet), interpreter\n"
-      "                                    (sequential)\n",
+      "                                    Monitor per session (the\n"
+      "                                    default), or the compiled\n"
+      "                                    native tier (CppEmitter ->\n"
+      "                                    system compiler -> dlopen;\n"
+      "                                    falls back to the interpreter\n"
+      "                                    when no compiler is\n"
+      "                                    available). Outputs are\n"
+      "                                    byte-identical across engines\n",
       Argv0);
 }
 
 /// Engine selection shared by the sequential and fleet paths. Explicit
 /// --engine= selections must agree.
-enum class EngineSel { Default, Interp, Batched, Native };
+enum class EngineSel { Interp, Native };
 
 std::optional<std::string> readFile(const char *Path) {
   std::ifstream In(Path);
@@ -174,7 +170,7 @@ int main(int argc, char **argv) {
   unsigned FleetShards = 0; // 0 = single-session sequential replay
   unsigned FleetSessions = 1;
   unsigned FleetProducers = 1;
-  EngineSel Engine = EngineSel::Default;
+  EngineSel Engine = EngineSel::Interp;
   const char *EngineFlag = nullptr; // the flag that selected it
 
   for (int I = 1; I < argc; ++I) {
@@ -224,8 +220,6 @@ int main(int argc, char **argv) {
       EngineSel Sel;
       if (std::strcmp(Which, "interp") == 0)
         Sel = EngineSel::Interp;
-      else if (std::strcmp(Which, "batched") == 0)
-        Sel = EngineSel::Batched;
       else if (std::strcmp(Which, "native") == 0)
         Sel = EngineSel::Native;
       else {
@@ -233,7 +227,7 @@ int main(int argc, char **argv) {
         printUsage(argv[0]);
         return 2;
       }
-      if (Engine != EngineSel::Default && Engine != Sel) {
+      if (EngineFlag && Engine != Sel) {
         std::fprintf(stderr,
                      "conflicting engine selections '%s' and '%s'\n",
                      EngineFlag, Arg);
@@ -414,20 +408,9 @@ int main(int argc, char **argv) {
       FleetOptions FOpts;
       FOpts.Shards = FleetShards;
       FOpts.Horizon = Horizon;
-      switch (Engine) {
-      case EngineSel::Default:
-        FOpts.Mode = FleetMode::Auto;
-        break;
-      case EngineSel::Interp:
-        FOpts.Mode = FleetMode::PerSession;
-        break;
-      case EngineSel::Batched:
-        FOpts.Mode = FleetMode::Batched;
-        break;
-      case EngineSel::Native:
+      if (Engine == EngineSel::Native) {
         FOpts.Mode = FleetMode::Native;
         FOpts.NativeFactory = NativeFactory;
-        break;
       }
       unsigned Producers = std::min(FleetProducers, FleetSessions);
       FOpts.MaxProducers = std::max(FOpts.MaxProducers, Producers);
@@ -462,13 +445,11 @@ int main(int argc, char **argv) {
       }
       return CloseRc;
     }
-    // Sequential replay through a non-default engine: collect through
-    // the ShardEngine interface, then print — same bytes as the
-    // streaming interpreter path below.
-    if (Engine == EngineSel::Batched || Engine == EngineSel::Native) {
-      std::unique_ptr<ShardEngine> Eng =
-          Engine == EngineSel::Batched ? makeBatchedEngine(Plan)
-                                       : NativeFactory(Plan, true);
+    // Sequential replay through the native engine: collect through the
+    // ShardEngine interface, then print — same bytes as the streaming
+    // interpreter path below.
+    if (Engine == EngineSel::Native) {
+      std::unique_ptr<ShardEngine> Eng = NativeFactory(Plan, true);
       EventBatch Batch;
       for (const auto &[Id, Ts, V] : *Events)
         Batch.Records.push_back({0, Id, Ts, V});
