@@ -87,6 +87,14 @@ public:
     Buf.insert(Buf.end(), Data, Data + Size);
   }
 
+  /// Overwrites the eight bytes at \p Offset (already written) with
+  /// \p V, little-endian — for a field known only after its payload.
+  void patchU64(size_t Offset, uint64_t V) {
+    for (unsigned I = 0; I != 8; ++I)
+      Buf[Offset + I] = static_cast<uint8_t>(V >> (8 * I));
+  }
+  void reserve(size_t N) { Buf.reserve(N); }
+
   const std::vector<uint8_t> &data() const { return Buf; }
   size_t size() const { return Buf.size(); }
   std::vector<uint8_t> take() { return std::move(Buf); }

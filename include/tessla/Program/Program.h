@@ -41,7 +41,9 @@
 #include "tessla/Runtime/BuiltinImpls.h"
 #include "tessla/Runtime/Value.h"
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 
 namespace tessla {
 
@@ -153,6 +155,49 @@ struct OutputSlot {
   SlotId ValueSlot;
 };
 
+/// Slot liveness within one calculation: the interpreter's table for
+/// holding exactly one handle to an aggregate when an in-place update
+/// runs (DESIGN.md §COW). Derived from Program::steps() alone, never
+/// serialized, so bundles, checkpoints and wire bytes do not depend on
+/// it.
+///
+///  * Release — an aggregate value slot is cleared after its last value
+///    read in translation order. Outputs, last sources and delay
+///    operands are read after the calculation and are never released.
+///  * Consume — when that last reader is an InPlace update taking the
+///    slot as argument 0 (and as no other argument), the step moves the
+///    value into a step-owned local before calling its evaluator. Only a
+///    consumed argument is offered to the destructive tier; the root
+///    refcount still decides at run time whether it may be mutated.
+///  * Last move — a Last step that is the only reader of its last slot,
+///    and whose destination is consumed, moves the last value instead of
+///    copying it. The consumer firing must imply that the last source
+///    fires, so the end of the calculation overwrites the emptied last
+///    slot; when the Last step fired but the consumer did not, the end of
+///    the calculation puts the value back.
+struct SlotPlan {
+  static constexpr SlotId NoSlot = UINT16_MAX;
+
+  struct StepFacts {
+    /// LiftAll/LiftFirstRest: ArgSlot[0] is moved into a local before
+    /// Impl runs. FusedLiftLift: the same for the producer (Impl2).
+    /// FusedLastLift: the last slot Aux is moved into a local.
+    bool Consume = false;
+    /// Last steps: LastVal[Aux] is moved into Dst instead of copied.
+    bool MoveLast = false;
+    /// Slots cleared after the step: Releases[ReleaseBegin..ReleaseEnd).
+    uint32_t ReleaseBegin = 0;
+    uint32_t ReleaseEnd = 0;
+  };
+
+  /// Parallel to Program::steps().
+  std::vector<StepFacts> Steps;
+  std::vector<SlotId> Releases;
+  /// Per last slot (indexed like Program::lastSlots()): the destination
+  /// slot of the Last step that moves it, or NoSlot.
+  std::vector<SlotId> MovedTo;
+};
+
 /// The lowered program; shares ownership of the spec with the analysis
 /// result. Compile once, execute from any backend.
 class Program {
@@ -190,6 +235,10 @@ public:
   /// Number of steps executing destructive aggregate updates (stats).
   uint32_t inPlaceStepCount() const;
 
+  /// The slot-liveness table of steps(), derived on first use (safe to
+  /// call from several threads) and cached until optView() is taken.
+  const SlotPlan &slotPlan() const;
+
   /// Renders the lowered program, one step per line with its slot
   /// assignment and in-place/folded/fused markers, followed by the
   /// last/delay/output slot tables — the single human-readable form of
@@ -209,6 +258,7 @@ public:
     SlotId &NumValueSlots;
   };
   OptView optView() {
+    Plan.reset();
     return {Steps, LastSlots, Delays, Outputs, ValueSlots, NumValueSlots};
   }
 
@@ -226,6 +276,30 @@ private:
   std::vector<SlotId> ValueSlots; // indexed by StreamId
   std::vector<bool> Mutable;      // indexed by StreamId
   SlotId NumValueSlots = 0;
+
+  /// The cached slotPlan(). A copied or moved-from program starts with an
+  /// empty cache and derives its own.
+  class PlanCache {
+  public:
+    PlanCache() = default;
+    PlanCache(const PlanCache &) {}
+    PlanCache &operator=(const PlanCache &) {
+      reset();
+      return *this;
+    }
+    const SlotPlan &get(const Program &P);
+    /// Requires exclusive access to the program.
+    void reset() {
+      Ready.store(nullptr, std::memory_order_relaxed);
+      Owned.reset();
+    }
+
+  private:
+    std::atomic<const SlotPlan *> Ready{nullptr};
+    std::mutex Mu;
+    std::unique_ptr<const SlotPlan> Owned;
+  };
+  mutable PlanCache Plan;
 };
 
 } // namespace tessla

@@ -71,12 +71,17 @@ struct EngineLaneState {
   uint64_t NumFed = 0;
   uint64_t NumOutputs = 0;
   uint64_t NumCalcRuns = 0;
-  std::vector<Value> Cur;      // [numValueSlots()+1]
-  std::vector<char> Present;   // [numValueSlots()+1]
-  std::vector<Value> LastVal;  // [lastSlots()]
-  std::vector<char> LastInit;  // [lastSlots()]
-  std::vector<Time> NextTs;    // [delays()]
-  std::vector<char> NextTsSet; // [delays()]
+  /// Every slot of the lane in one vector, so a snapshot allocates
+  /// twice however many tables the program has: the value slots
+  /// [NumValueSlots = numValueSlots()+1], then the *_last slots
+  /// [NumLastSlots = lastSlots()], then one Int per delay holding its
+  /// armed timestamp [delays()].
+  std::vector<Value> Slots;
+  /// One flag per entry of Slots: presence, last slot initialized, timer
+  /// armed.
+  std::vector<char> Flags;
+  uint32_t NumValueSlots = 0;
+  uint32_t NumLastSlots = 0;
   std::vector<OutputEvent> Outputs;
 };
 

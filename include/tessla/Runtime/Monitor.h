@@ -113,7 +113,7 @@ public:
   /// This is the primitive behind session forking.
   void snapshotState(EngineLaneState &Out) const;
 
-  /// Visits every Value the monitor holds (current-value slots and
+  /// Visits every Value the monitor holds (current-value slots, then
   /// *_last slots) — the fleet's aggregate-memory accounting walk.
   void visitValues(const std::function<void(const Value &)> &Fn) const;
 
@@ -122,20 +122,23 @@ private:
   OutputHandler Handler;
   EvalError Err;
 
-  // Current-timestamp value slots (the paper's per-stream variables),
-  // indexed by the program's dense SlotId; the trailing entry is the
-  // never-present dead slot shared by nil streams.
-  std::vector<Value> Cur;
-  std::vector<char> Present;
+  // Every slot, laid out as EngineLaneState::Slots so a snapshot is two
+  // vector copies: the current-timestamp value slots (the paper's
+  // per-stream variables) indexed by the program's dense SlotId, whose
+  // trailing entry is the never-present dead slot shared by nil streams;
+  // then the *_last slots (indexed like Program::lastSlots()) from
+  // LastBase; then one Int per delay, its *_nextTs (indexed like
+  // Program::delays()) from TimerBase. Flags is parallel: presence,
+  // last slot initialized, timer armed.
+  const SlotPlan &Plan;
+  std::vector<Value> Slots;
+  std::vector<char> Flags;
   std::vector<SlotId> Touched;
+  uint32_t LastBase = 0;
+  uint32_t TimerBase = 0;
 
-  // *_last slots, indexed like Program::lastSlots().
-  std::vector<Value> LastVal;
-  std::vector<char> LastInit;
-
-  // *_nextTs slots per delay (indexed like Program::delays()).
-  std::vector<Time> NextTs;
-  std::vector<char> NextTsSet;
+  Value &lastVal(size_t I) { return Slots[LastBase + I]; }
+  char &lastInit(size_t I) { return Flags[LastBase + I]; }
 
   Time PendingTs = 0;
   bool CalcDoneForPending = false;
@@ -147,6 +150,11 @@ private:
 
   void setValue(SlotId Slot, Value V);
   void runCalc(Time Ts);
+  /// The calculation section proper; false when a step failed.
+  bool runSteps(Time Ts);
+  /// After a failed calculation: moves every moved last value that no
+  /// update consumed back into its last slot.
+  void unwindMovedLast();
   /// Runs the pending timestamp's calculation and all delay firings
   /// strictly before \p T.
   void flushBefore(Time T);

@@ -44,23 +44,25 @@ void writeLane(ByteWriter &W, const EngineLaneState &L,
   W.u64(L.NumOutputs);
   W.u64(L.NumCalcRuns);
 
-  W.u32(static_cast<uint32_t>(L.Cur.size()));
-  for (const Value &V : L.Cur)
-    bc::writeValue(W, V, &Share);
-  for (char P : L.Present)
-    W.u8(P ? 1 : 0);
+  // The lane keeps every slot in one vector (EngineLaneState); the file
+  // keeps the three tables, each as its count, its values and its flags.
+  const size_t NumValue = L.NumValueSlots;
+  const size_t TimerBase = NumValue + L.NumLastSlots;
+  auto table = [&](size_t Begin, size_t End) {
+    W.u32(static_cast<uint32_t>(End - Begin));
+    for (size_t I = Begin; I != End; ++I)
+      bc::writeValue(W, L.Slots[I], &Share);
+    for (size_t I = Begin; I != End; ++I)
+      W.u8(L.Flags[I] ? 1 : 0);
+  };
+  table(0, NumValue);
+  table(NumValue, TimerBase);
 
-  W.u32(static_cast<uint32_t>(L.LastVal.size()));
-  for (const Value &V : L.LastVal)
-    bc::writeValue(W, V, &Share);
-  for (char P : L.LastInit)
-    W.u8(P ? 1 : 0);
-
-  W.u32(static_cast<uint32_t>(L.NextTs.size()));
-  for (Time T : L.NextTs)
-    W.i64(T);
-  for (char P : L.NextTsSet)
-    W.u8(P ? 1 : 0);
+  W.u32(static_cast<uint32_t>(L.Slots.size() - TimerBase));
+  for (size_t I = TimerBase, E = L.Slots.size(); I != E; ++I)
+    W.i64(L.Slots[I].getInt());
+  for (size_t I = TimerBase, E = L.Slots.size(); I != E; ++I)
+    W.u8(L.Flags[I] ? 1 : 0);
 
   // The retired pending-record block: engines apply records eagerly,
   // so a lane never carries unapplied input. Kept as a zero count so the
@@ -103,26 +105,28 @@ bool readLane(ByteReader &R, DecodeContext &Ctx, const Program &P,
     return fail("slot table size disagrees with the program");
   if (NCur > R.remaining())
     return fail("slot count exceeds the remaining payload");
-  L.Cur.reserve(NCur);
+  const size_t NumLast = P.lastSlots().size();
+  const size_t Total = SlotCount + NumLast + P.delays().size();
+  L.NumValueSlots = static_cast<uint32_t>(SlotCount);
+  L.NumLastSlots = static_cast<uint32_t>(NumLast);
+  L.Slots.reserve(Total);
+  L.Flags.resize(Total, 0);
   for (uint32_t I = 0; I != NCur && Ctx.Ok && !R.failed(); ++I)
-    L.Cur.push_back(bc::readValue(R, Ctx, 0, &Share));
-  L.Present.resize(NCur, 0);
+    L.Slots.push_back(bc::readValue(R, Ctx, 0, &Share));
   for (uint32_t I = 0; I != NCur; ++I)
-    L.Present[I] = R.u8() ? 1 : 0;
+    L.Flags[I] = R.u8() ? 1 : 0;
   if (!Ctx.Ok || R.failed())
     return fail("truncated slot table");
 
   uint32_t NLast = R.u32();
-  if (NLast != P.lastSlots().size())
+  if (NLast != NumLast)
     return fail("last-slot table size disagrees with the program");
   if (NLast > R.remaining())
     return fail("last-slot count exceeds the remaining payload");
-  L.LastVal.reserve(NLast);
   for (uint32_t I = 0; I != NLast && Ctx.Ok && !R.failed(); ++I)
-    L.LastVal.push_back(bc::readValue(R, Ctx, 0, &Share));
-  L.LastInit.resize(NLast, 0);
+    L.Slots.push_back(bc::readValue(R, Ctx, 0, &Share));
   for (uint32_t I = 0; I != NLast; ++I)
-    L.LastInit[I] = R.u8() ? 1 : 0;
+    L.Flags[SlotCount + I] = R.u8() ? 1 : 0;
   if (!Ctx.Ok || R.failed())
     return fail("truncated last-slot table");
 
@@ -131,12 +135,10 @@ bool readLane(ByteReader &R, DecodeContext &Ctx, const Program &P,
     return fail("delay table size disagrees with the program");
   if (static_cast<uint64_t>(NDelay) * 9 > R.remaining())
     return fail("delay count exceeds the remaining payload");
-  L.NextTs.reserve(NDelay);
   for (uint32_t I = 0; I != NDelay; ++I)
-    L.NextTs.push_back(R.i64());
-  L.NextTsSet.resize(NDelay, 0);
+    L.Slots.push_back(Value::integer(R.i64()));
   for (uint32_t I = 0; I != NDelay; ++I)
-    L.NextTsSet[I] = R.u8() ? 1 : 0;
+    L.Flags[SlotCount + NumLast + I] = R.u8() ? 1 : 0;
   if (R.failed())
     return fail("truncated delay table");
 
@@ -190,20 +192,24 @@ std::vector<uint8_t> tessla::serializeCheckpoint(const FleetCheckpoint &C) {
       {TagMeta, &MetaW},
       {TagLanes, &LaneW},
   };
-  ByteWriter Body;
-  Body.u32(static_cast<uint32_t>(std::size(Sections)));
-  for (const auto &[Tag, W] : Sections) {
-    Body.u32(Tag);
-    Body.u64(W->data().size());
-    Body.bytes(*W);
-  }
-
+  // The output is sized once: header, section table and payloads.
+  size_t BodySize = 4;
+  for (const auto &[Tag, W] : Sections)
+    BodySize += 12 + W->size();
   ByteWriter Out;
+  Out.reserve(TCPChecksumStart + BodySize);
   for (uint8_t M : TCPMagic)
     Out.u8(M);
   Out.u32(TCPFormatVersion);
-  Out.u64(tpbChecksum(Body.data().data(), Body.data().size()));
-  Out.bytes(Body);
+  Out.u64(0); // checksum, patched below
+  Out.u32(static_cast<uint32_t>(std::size(Sections)));
+  for (const auto &[Tag, W] : Sections) {
+    Out.u32(Tag);
+    Out.u64(W->size());
+    Out.bytes(*W);
+  }
+  Out.patchU64(8, tpbChecksum(Out.data().data() + TCPChecksumStart,
+                              BodySize));
   return Out.take();
 }
 

@@ -152,8 +152,10 @@ TEST(DifferentialTest, SpectrumCalculation) {
 
 TEST(DifferentialTest, RandomSpecsAgree) {
   uint32_t TotalMutable = 0;
+  testrandom::RandomSpecOptions Opts;
+  Opts.WithFilteredLoop = true;
   for (uint64_t Seed = 1; Seed <= 25; ++Seed) {
-    Spec S = testrandom::randomSpec(Seed);
+    Spec S = testrandom::randomSpec(Seed, Opts);
     auto Events = testrandom::randomSpecTrace(S, 600, Seed * 977);
     uint32_t MutableCount = 0;
     std::string Optimized = runWith(S, Events, true, &MutableCount);

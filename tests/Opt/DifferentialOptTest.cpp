@@ -156,8 +156,10 @@ TEST(DifferentialOptTest, RandomSpecsAgree) {
   // 40 delay-free random specs; together with the delay batch below the
   // corpus is 55 specs strong.
   uint32_t TotalRewrites = 0;
+  testrandom::RandomSpecOptions Opts;
+  Opts.WithFilteredLoop = true;
   for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
-    Spec S = testrandom::randomSpec(Seed);
+    Spec S = testrandom::randomSpec(Seed, Opts);
     auto Events = testrandom::randomSpecTrace(S, 600, Seed * 977);
     bool MutOptimize = Seed % 2 == 0;
     OptStatistics Stats;
@@ -178,6 +180,7 @@ TEST(DifferentialOptTest, RandomDelaySpecsAgree) {
   // timestamps; optimizations must not change the firing schedule.
   testrandom::RandomSpecOptions Opts;
   Opts.WithDelay = true;
+  Opts.WithFilteredLoop = true;
   for (uint64_t Seed = 1; Seed <= 15; ++Seed) {
     Spec S = testrandom::randomSpec(Seed, Opts);
     auto Events = testrandom::randomSpecTrace(S, 400, Seed * 1313);

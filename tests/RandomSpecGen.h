@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <random>
 #include <sstream>
 
@@ -54,6 +55,12 @@ struct RandomSpecOptions {
   /// Also generate queueDeq/queueFront (guarded by a fresh enqueue so
   /// the queue is never empty at evaluation time).
   bool WithQueueOps = true;
+  /// Also generate an accumulator whose update reaches its last slot
+  /// only through a filter: last(merge(filter(upd, keep), empty), t).
+  /// Interpreter-only: the mutability analysis marks upd in place, and
+  /// the native tier, which trusts that verdict, updates the last value
+  /// the filter was meant to keep.
+  bool WithFilteredLoop = false;
 };
 
 /// Generates a random valid specification over two Int inputs "a" and
@@ -199,6 +206,24 @@ inline Spec randomSpec(uint64_t Seed,
   StreamId Probe = B.lift("accprobe", BuiltinId::SetContains,
                           {Prev, Ints[1 % Ints.size()]});
 
+  // And one whose update reaches its last slot only through a filter,
+  // last(merge(filter(upd, keep), empty), t): the update firing does not
+  // imply the last source fires, so the engine must borrow the last
+  // value for the update instead of moving it out of the last slot.
+  std::optional<StreamId> FProbe;
+  if (Opts.WithFilteredLoop) {
+    StreamId FAcc = B.declare("facc");
+    StreamId Keep = B.lift("fkeep", BuiltinId::Lt,
+                           {Ints[0], B.last("fkprev", Ints[0], Ints[0])});
+    StreamId FM = B.lift(
+        "faccm", BuiltinId::Merge,
+        {B.lift("faccf", BuiltinId::Filter, {FAcc, Keep}),
+         B.lift("facce", BuiltinId::SetEmpty, {Unit})});
+    StreamId FPrev = B.last("faccprev", FM, Ints[0]);
+    B.defineLift(FAcc, BuiltinId::SetToggle, {FPrev, Ints[0]});
+    FProbe = B.lift("faccsize", BuiltinId::SetSize, {FPrev});
+  }
+
   // Outputs: every scalar result plus sizes of aggregates (canonical
   // rendering of whole aggregates is exercised separately; sizes keep
   // traces compact).
@@ -207,6 +232,8 @@ inline Spec randomSpec(uint64_t Seed,
   for (StreamId Id : Ints)
     B.markOutput(Id);
   B.markOutput(Probe);
+  if (FProbe)
+    B.markOutput(*FProbe);
   DiagnosticEngine Diags;
   Spec S = B.finish(Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();

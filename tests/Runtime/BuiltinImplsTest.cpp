@@ -231,6 +231,32 @@ TEST(BuiltinImplsTest, SetUpdateWithOptionalArgs) {
   EXPECT_EQ(S2.asSet().size(), 0u);
 }
 
+TEST(BuiltinImplsTest, InPlaceSetUpdateKeepsRootAndSparesSharers) {
+  EvalError Err;
+  Value S = emptySet(true);
+  Value One = Value::integer(1), Two = Value::integer(2);
+  Value S1 = applyInPlace(BuiltinId::SetAdd, {&S, &One}, Err);
+  S = Value(); // S1 is the only handle
+  // Both optional arguments present: one handle serves the add and the
+  // remove, so the root survives.
+  const Value *Both[3] = {&S1, &Two, &One};
+  Value S2 = applyBuiltin(BuiltinId::SetUpdate, Both, 3, true, Err);
+  ASSERT_FALSE(Err.Failed) << Err.Message;
+  EXPECT_EQ(S2.aggregateIdentity(), S1.aggregateIdentity());
+  EXPECT_EQ(S2.str(), "{2}");
+
+  // A shared source is left untouched.
+  Value Sharer = S2;
+  Value Three = Value::integer(3);
+  const Value *Shared[3] = {&S2, &Three, &Two};
+  Value S3 = applyBuiltin(BuiltinId::SetUpdate, Shared, 3, true, Err);
+  ASSERT_FALSE(Err.Failed) << Err.Message;
+  EXPECT_NE(S3.aggregateIdentity(), Sharer.aggregateIdentity());
+  EXPECT_EQ(S3.str(), "{3}");
+  EXPECT_EQ(Sharer.str(), "{2}");
+  EXPECT_EQ(S2.str(), "{2}");
+}
+
 TEST(BuiltinImplsTest, MapOps) {
   EvalError Err;
   Value M = apply(BuiltinId::MapEmpty, {Value::unit()}, false, Err);

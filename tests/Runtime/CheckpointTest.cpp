@@ -441,10 +441,7 @@ TEST(CheckpointTest, ForkedSessionsShareStructureAcrossRoundTrip) {
   };
   auto aggIdentities = [](const EngineLaneState &L) {
     std::vector<const void *> Ids;
-    for (const Value &V : L.Cur)
-      if (V.isAggregate())
-        Ids.push_back(V.aggregateIdentity());
-    for (const Value &V : L.LastVal)
+    for (const Value &V : L.Slots)
       if (V.isAggregate())
         Ids.push_back(V.aggregateIdentity());
     return Ids;
