@@ -12,9 +12,11 @@
 ///  * persistent (InPlace = false): the argument payload is left
 ///    untouched; the result is a fresh handle around the persistent
 ///    structure's updated version (path copying);
-///  * destructive (InPlace = true): the mutable payload is updated in
-///    place and the argument handle is returned as the result — the
-///    "destructive update" of §I.
+///  * destructive (InPlace = true): when argument 0's root is uniquely
+///    owned, its structure is updated in place and the result keeps that
+///    root — the "destructive update" of §I. The interpreter passes true
+///    only for an argument 0 it moved out of a dead slot (see
+///    Runtime/Containers.h).
 ///
 //===----------------------------------------------------------------------===//
 

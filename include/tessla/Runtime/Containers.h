@@ -21,10 +21,15 @@
 ///    node copied, every child shared) and every update path-copies the
 ///    O(log32 n) spine below it, leaving all sharers untouched.
 ///
-/// The static InPlace verdict is required — dynamic uniqueness alone is
-/// unsound because a program can re-read a slot after deriving two values
-/// from it (s2 = setAdd(s1, x); s3 = setAdd(s1, y)): at the first update
-/// the s1 root is uniquely owned, yet s1 must survive.
+/// Dynamic uniqueness alone is not a licence to mutate: a program can
+/// re-read a slot after deriving two values from it (s2 = setAdd(s1, x);
+/// s3 = setAdd(s1, y)), and at the first update the s1 root is uniquely
+/// owned, yet s1 must survive. The caller supplies the missing half: the
+/// interpreter (Runtime/Monitor.cpp) passes InPlace only for an argument
+/// it consumed, one moved out of its slot at the slot's last read in the
+/// calculation (Program::slotPlan()), so whoever else still needs the
+/// version holds a handle and the refcount sees it. Under that rule a
+/// wrong static verdict costs time but cannot change values.
 ///
 //===----------------------------------------------------------------------===//
 
